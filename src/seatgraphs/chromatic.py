@@ -18,7 +18,7 @@ from typing import Iterator
 from .digraph import Digraph
 from .limits import RELABEL_SEARCH_BOUND, check_bound
 from .permutations import Perm
-from .polynomials import ONE, Polynomial
+from .polynomials import Polynomial
 
 UEdge = tuple[int, int]  # undirected edge as (lo, hi), 0-based inside this module
 
@@ -129,10 +129,16 @@ def is_peo(graph: Digraph) -> bool:
         raise ValueError("perfect elimination orderings are defined for simple graphs")
     if not graph.is_standard:
         raise ValueError("perfect elimination orderings are defined on labels 1..n")
-    for j, i, _ in graph.edge_counts:
+    return _intervals_are_cliques({(j, i) for j, i, _ in graph.edge_counts})
+
+
+def _intervals_are_cliques(edges: set[tuple[int, int]]) -> bool:
+    """For every (hi, lo) in ``edges``, every (b, a) with
+    hi >= b > a >= lo is in ``edges`` too."""
+    for j, i in edges:
         for b in range(i + 1, j + 1):
             for a in range(i, b):
-                if graph.multiplicity(b, a) == 0:
+                if (b, a) not in edges:
                     return False
     return True
 
@@ -143,7 +149,7 @@ def find_chordal_labeling(graph: Digraph, bound: int | None = RELABEL_SEARCH_BOU
     A candidate labeling re-orients every underlying edge from the
     larger new label to the smaller (so each candidate is a labeled
     acyclic graph by construction); the first labeling in lexicographic
-    order that passes ``is_peo`` is returned, or None if none exists.
+    order that is a PEO is returned, or None if none exists.
 
     Note the interval-clique condition is stronger than classic
     chordality: it asks for an ordering in which every edge's whole
@@ -160,14 +166,10 @@ def find_chordal_labeling(graph: Digraph, bound: int | None = RELABEL_SEARCH_BOU
     check_bound("chordal labeling search", n, bound)
     underlying = graph.undirected_edges()
     for rho in _itertools_permutations(range(1, n + 1)):
-        relabeled = Digraph.from_edges(
-            n,
-            (
-                (max(rho[u - 1], rho[v - 1]), min(rho[u - 1], rho[v - 1]))
-                for u, v in underlying
-            ),
-        )
-        if is_peo(relabeled):
+        relabeled = {
+            (max(rho[u - 1], rho[v - 1]), min(rho[u - 1], rho[v - 1])) for u, v in underlying
+        }
+        if _intervals_are_cliques(relabeled):
             return rho
     return None
 

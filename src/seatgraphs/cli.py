@@ -38,8 +38,8 @@ from .identities import (
     verify_point_squish,
     verify_self_equivalent_slice,
 )
-from .limits import DEFAULT_TRUNCATION, BoundExceededError
-from .polynomials import Polynomial, eulerian_poly, generalized_eulerian_poly
+from .limits import DEFAULT_TRUNCATION, TABLE_BOUND, BoundExceededError
+from .polynomials import eulerian_poly, generalized_eulerian_poly
 
 _FAMILY_RE = re.compile(r"(tour|path|cycle):(\d+)")
 _FAMILIES = {"tour": tour, "path": path, "cycle": cycle}
@@ -161,8 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bound(args, default):
-    return None if getattr(args, "unsafe_bounds", False) else default
+def _unsafe(args) -> dict:
+    # omitting bound leaves each function's default from limits.py
+    return {"bound": None} if args.unsafe_bounds else {}
 
 
 def _require(args, attr: str, flag: str):
@@ -217,17 +218,17 @@ def run_gen(args) -> tuple[str, int]:
 def run_odp(args) -> tuple[str, int]:
     X = parse_graph_spec(args.x_spec)
     Y = parse_graph_spec(args.y_spec)
-    bound = _bound(args, 10)
+    unsafe = _unsafe(args)
     if args.slice_spec is None:
-        poly = odp(X, Y, bound=bound)
+        poly = odp(X, Y, **unsafe)
     else:
         kind, _, rest = args.slice_spec.partition(":")
         if kind == "edge":
             a, b = _parse_pair(rest, "--slice edge")
-            poly = odp_edge_slice(X, Y, a, b, bound=bound)
+            poly = odp_edge_slice(X, Y, a, b, **unsafe)
         elif kind == "assign":
             i, j = _parse_pair(rest, "--slice assign")
-            poly = odp_assign_slice(X, Y, i, j, bound=bound)
+            poly = odp_assign_slice(X, Y, i, j, **unsafe)
         else:
             raise UsageError(f"unknown slice kind {kind!r}; use edge:a,b or assign:i,j")
     if args.format == "json":
@@ -238,7 +239,7 @@ def run_odp(args) -> tuple[str, int]:
 def run_dfs(args) -> tuple[str, int]:
     X = parse_graph_spec(args.x_spec)
     Y = parse_graph_spec(args.y_spec)
-    dfs = materialize(X, Y, bound=_bound(args, 7))
+    dfs = materialize(X, Y, **_unsafe(args))
     if args.format == "dot":
         return dfs.to_dot(), 0
     return dfs.to_json() + "\n", 0
@@ -247,11 +248,11 @@ def run_dfs(args) -> tuple[str, int]:
 def run_verify(args) -> tuple[str, int]:
     truncation = args.truncation if args.truncation is not None else _default_truncation()
     name = args.theorem
+    unsafe = _unsafe(args)
 
     if name == "sweep":
         n = _require(args, "n", "--n")
-        rows = sweep_identity(n, truncation, which=args.identity,
-                              bound=_bound(args, 4))
+        rows = sweep_identity(n, truncation, which=args.identity, **unsafe)
         ok = all(r.identity for r in rows)
         if args.format == "json":
             text = json.dumps([r.to_json_obj() for r in rows], separators=(",", ":")) + "\n"
@@ -262,38 +263,37 @@ def run_verify(args) -> tuple[str, int]:
     if name == "automorphism":
         verdict = verify_automorphism(parse_graph_spec(_require(args, "x_spec", "--x")),
                                       parse_graph_spec(_require(args, "y_spec", "--y")),
-                                      bound=_bound(args, 5))
+                                      **unsafe)
     elif name == "acyclic":
         verdict = verify_acyclic_potential(parse_graph_spec(_require(args, "x_spec", "--x")),
                                            parse_graph_spec(_require(args, "y_spec", "--y")),
-                                           bound=_bound(args, 7))
+                                           **unsafe)
     elif name == "edge-removal":
         a, b = _parse_pair(_require(args, "edge", "--edge"), "--edge")
         verdict = verify_edge_removal(parse_graph_spec(_require(args, "x_spec", "--x")),
                                       parse_graph_spec(_require(args, "y_spec", "--y")),
-                                      a, b, bound=_bound(args, 8))
+                                      a, b, **unsafe)
     elif name == "self-slice":
         a, b = _parse_pair(_require(args, "pair", "--pair"), "--pair")
         verdict = verify_self_equivalent_slice(parse_graph_spec(_require(args, "x_spec", "--x")),
                                                parse_graph_spec(_require(args, "y_spec", "--y")),
-                                               a, b, bound=_bound(args, 8))
+                                               a, b, **unsafe)
     elif name == "squish":
         a, b = _parse_pair(_require(args, "pair", "--pair"), "--pair")
         verdict = verify_point_squish(parse_graph_spec(_require(args, "x_spec", "--x")),
                                       parse_graph_spec(_require(args, "y_spec", "--y")),
-                                      a, b, bound=_bound(args, 8))
+                                      a, b, **unsafe)
     elif name == "path-identity":
         verdict = verify_path_identity(parse_graph_spec(_require(args, "graph_spec", "--graph")),
-                                       truncation, bound=_bound(args, 8))
+                                       truncation, **unsafe)
     elif name == "cycle-base":
-        verdict = verify_cycle_base(_require(args, "n", "--n"), truncation,
-                                    bound=_bound(args, 8))
+        verdict = verify_cycle_base(_require(args, "n", "--n"), truncation, **unsafe)
     elif name == "cycle-identity":
         verdict = verify_cycle_identity(parse_graph_spec(_require(args, "graph_spec", "--graph")),
-                                        truncation, bound=_bound(args, 8))
+                                        truncation, **unsafe)
     elif name == "gen-eulerian":
         verdict = verify_generalized_equals_odp(parse_graph_spec(_require(args, "graph_spec", "--graph")),
-                                                args.cyclic, bound=_bound(args, 7))
+                                                args.cyclic, **unsafe)
     else:  # pragma: no cover - argparse already constrains the choices
         raise UsageError(f"unknown theorem {name!r}")
 
@@ -308,7 +308,7 @@ def run_verify(args) -> tuple[str, int]:
 
 def run_table(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.n)
-    bound = _bound(args, 8)
+    bound = None if args.unsafe_bounds else TABLE_BOUND
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for n in range(lo, hi + 1):

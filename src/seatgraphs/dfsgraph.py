@@ -8,13 +8,16 @@ multiplicity mult_X(a->b) * mult_Y(sigma(a)->sigma(b)), which is what
 makes every identity below exact on multigraphs.
 
 ODP and its slices stream over S_n without materializing the n!-vertex
-graph; ``materialize`` exists for inspection and DOT/JSON export at
-small n.
+graph, through one counting loop.  A slice enumerates only the
+permutations it keeps: an assignment slice sigma(i) = j visits (n-1)!,
+an edge slice visits (n-2)! per non-loop Y-edge it pins under (a, b).
+``materialize`` exists for inspection and DOT/JSON export at small n.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Iterator, NamedTuple
 
 from .digraph import Digraph
@@ -60,16 +63,28 @@ def outdegree(X: Digraph, Y: Digraph, p: Perm) -> int:
     return sum(w.multiplicity for w in out_neighbors(X, Y, p))
 
 
-def _edge_tables(X: Digraph, Y: Digraph):
-    # 0-based X edge list and Y multiplicity lookup for the hot loops
-    xedges = [(a - 1, b - 1, m) for a, b, m in X.edge_counts if a != b]
+def _odp_poly(X: Digraph, Y: Digraph, pinned: dict[int, int]) -> Polynomial:
+    """Sum of x^outdegree over the permutations that take each pinned
+    position to its value (``{position: value}``, 1-based).  Only the
+    unpinned values are permuted, so pinning k positions visits (n-k)!
+    permutations."""
+    n = X.n
+    # p lists the free positions in label order, then the pinned ones
+    order = [i for i in range(1, n + 1) if i not in pinned] + list(pinned)
+    slot = {pos: k for k, pos in enumerate(order)}
+    xedges = [(slot[a], slot[b], m) for a, b, m in X.edge_counts if a != b]
     ymult = {(u, v): m for u, v, m in Y.edge_counts}
-    return xedges, ymult
-
-
-def _poly_from_counts(counts: dict[int, int]) -> Polynomial:
-    if not counts:
-        return Polynomial(())
+    pinned_values = tuple(pinned.values())
+    free_values = [v for v in range(1, n + 1) if v not in pinned_values]
+    counts: dict[int, int] = {}
+    for free in permutations(free_values):
+        p = free + pinned_values
+        d = 0
+        for a, b, mx in xedges:
+            my = ymult.get((p[a], p[b]))
+            if my:
+                d += mx * my
+        counts[d] = counts.get(d, 0) + 1
     return Polynomial(tuple(counts.get(m, 0) for m in range(max(counts) + 1)))
 
 
@@ -77,16 +92,7 @@ def odp(X: Digraph, Y: Digraph, bound: int | None = ODP_BOUND) -> Polynomial:
     """Outdegree polynomial: sum over S_n of x^outdegree(sigma)."""
     n = _check_same_n(X, Y)
     check_bound("outdegree polynomial", n, bound)
-    xedges, ymult = _edge_tables(X, Y)
-    counts: dict[int, int] = {}
-    for p in enumerate_perms(n, bound=None):
-        d = 0
-        for a, b, mx in xedges:
-            my = ymult.get((p[a], p[b]))
-            if my:
-                d += mx * my
-        counts[d] = counts.get(d, 0) + 1
-    return _poly_from_counts(counts)
+    return _odp_poly(X, Y, {})
 
 
 def odp_edge_slice(X: Digraph, Y: Digraph, a: int, b: int, bound: int | None = ODP_BOUND) -> Polynomial:
@@ -100,19 +106,11 @@ def odp_edge_slice(X: Digraph, Y: Digraph, a: int, b: int, bound: int | None = O
     if a == b or not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"slice pair ({a}, {b}) must be two distinct labels in 1..{n}")
     check_bound("ODP edge slice", n, bound)
-    xedges, ymult = _edge_tables(X, Y)
-    counts: dict[int, int] = {}
-    for p in enumerate_perms(n, bound=None):
-        weight = ymult.get((p[a - 1], p[b - 1]), 0)
-        if not weight:
-            continue
-        d = 0
-        for xa, xb, mx in xedges:
-            my = ymult.get((p[xa], p[xb]))
-            if my:
-                d += mx * my
-        counts[d] = counts.get(d, 0) + weight
-    return _poly_from_counts(counts)
+    total = Polynomial(())
+    for u, v, weight in Y.edge_counts:
+        if u != v:
+            total = total + weight * _odp_poly(X, Y, {a: u, b: v})
+    return total
 
 
 def odp_assign_slice(X: Digraph, Y: Digraph, i: int, j: int, bound: int | None = ODP_BOUND) -> Polynomial:
@@ -121,18 +119,7 @@ def odp_assign_slice(X: Digraph, Y: Digraph, i: int, j: int, bound: int | None =
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"assignment sigma({i}) = {j} is out of range for n={n}")
     check_bound("ODP assignment slice", n, bound)
-    xedges, ymult = _edge_tables(X, Y)
-    counts: dict[int, int] = {}
-    for p in enumerate_perms(n, bound=None):
-        if p[i - 1] != j:
-            continue
-        d = 0
-        for xa, xb, mx in xedges:
-            my = ymult.get((p[xa], p[xb]))
-            if my:
-                d += mx * my
-        counts[d] = counts.get(d, 0) + 1
-    return _poly_from_counts(counts)
+    return _odp_poly(X, Y, {i: j})
 
 
 @dataclass(frozen=True)
@@ -147,16 +134,10 @@ class MaterializedDfs:
     vertices: tuple[Perm, ...]
     adjacency: tuple[tuple[DfsEdgeWitness, ...], ...]
 
-    def index_of(self, p: Perm) -> int:
-        return self._index[p]
+    index: dict[Perm, int] = field(repr=False, compare=False)
 
-    @property
-    def _index(self) -> dict[Perm, int]:
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            cached = {p: i for i, p in enumerate(self.vertices)}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+    def index_of(self, p: Perm) -> int:
+        return self.index[p]
 
     def edge_multiplicity(self, src: Perm, dst: Perm) -> int:
         return sum(w.multiplicity for w in self.adjacency[self.index_of(src)] if w.target == dst)
@@ -228,4 +209,4 @@ def materialize(X: Digraph, Y: Digraph, bound: int | None = MATERIALIZE_BOUND) -
     check_bound("DFS materialization", n, bound)
     vertices = tuple(enumerate_perms(n, bound=None))
     adjacency = tuple(tuple(out_neighbors(X, Y, p)) for p in vertices)
-    return MaterializedDfs(n, vertices, adjacency)
+    return MaterializedDfs(n, vertices, adjacency, {p: i for i, p in enumerate(vertices)})

@@ -282,17 +282,28 @@ class Digraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> Digraph:
+        """Parse ``{"n": int, "edges": [[u, v], ...]}`` with optional
+        ``"labels"``; a malformed field raises ValueError naming it."""
         try:
             n = obj["n"]
-            edges = [tuple(e) for e in obj["edges"]]
+            edges = obj["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph object: {exc}") from exc
+        # type() rather than isinstance(): JSON true/false decode to bool
+        if type(n) is not int:
+            raise ValueError(f"graph field 'n' must be an integer, got {n!r}")
+        if not isinstance(edges, list):
+            raise ValueError(f"graph field 'edges' must be a list, got {edges!r}")
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
+                raise ValueError(f"graph field 'edges' holds {e!r}, not a pair of integers")
         labels = obj.get("labels")
-        if labels is not None:
-            if len(labels) != n:
-                raise ValueError("labels length disagrees with n")
-            return cls.from_edges(labels, edges)
-        return cls.from_edges(n, edges)
+        if labels is None:
+            return cls.from_edges(n, edges)
+        if not (isinstance(labels, list) and all(type(v) is int and v >= 1 for v in labels)
+                and len(labels) == len(set(labels)) == n):
+            raise ValueError(f"graph field 'labels' must be {n} distinct positive integers, got {labels!r}")
+        return cls.from_edges(labels, edges)
 
     @classmethod
     def from_json(cls, text: str) -> Digraph:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chromatic import chromatic_poly, enumerate_labeled_acyclic, find_chordal_labeling, is_peo
 from .digraph import Digraph, cycle, path, tour
 from .dfsgraph import materialize, odp, odp_assign_slice, odp_edge_slice, out_neighbors
-from .limits import DEFAULT_TRUNCATION, IDENTITY_BOUND, SWEEP_BOUND, check_bound
+from .limits import (DEFAULT_TRUNCATION, DFS_COMPARISON_BOUND, GEN_EULERIAN_BOUND, IDENTITY_BOUND,
+                     MATERIALIZE_BOUND, SWEEP_BOUND, check_bound)
 from .permutations import enumerate_perms, inverse
 from .polynomials import ONE, X, Polynomial, SeriesPrefix, expand_over_one_minus_x
 
@@ -68,21 +68,24 @@ def _perm_str(p) -> str:
     return ",".join(str(v) for v in p)
 
 
-def verify_automorphism(X_graph: Digraph, Y_graph: Digraph, bound: int | None = 5) -> Verdict:
+def _witness_multiplicities(dfs) -> dict:
+    """(source, target) -> summed witness multiplicity."""
+    mult: dict = {}
+    for w in dfs.edges():
+        key = (w.source, w.target)
+        mult[key] = mult.get(key, 0) + w.multiplicity
+    return mult
+
+
+def verify_automorphism(
+    X_graph: Digraph, Y_graph: Digraph, bound: int | None = DFS_COMPARISON_BOUND
+) -> Verdict:
     """Inversion is a multiplicity-preserving edge bijection between
     DFS(X, Y) and DFS(Y, X)."""
     n = X_graph.n
     check_bound("automorphism check", n, bound)
-    left = materialize(X_graph, Y_graph, bound=bound)
-    right = materialize(Y_graph, X_graph, bound=bound)
-    mult_left: dict = {}
-    for w in left.edges():
-        key = (w.source, w.target)
-        mult_left[key] = mult_left.get(key, 0) + w.multiplicity
-    mult_right: dict = {}
-    for w in right.edges():
-        key = (w.source, w.target)
-        mult_right[key] = mult_right.get(key, 0) + w.multiplicity
+    mult_left = _witness_multiplicities(materialize(X_graph, Y_graph, bound=bound))
+    mult_right = _witness_multiplicities(materialize(Y_graph, X_graph, bound=bound))
     mapped = {(inverse(s), inverse(t)): m for (s, t), m in mult_left.items()}
     rng = f"all {n}!x{n}! vertex pairs of DFS(X,Y) against DFS(Y,X)"
     for key in sorted(set(mapped) | set(mult_right)):
@@ -102,7 +105,9 @@ def verify_automorphism(X_graph: Digraph, Y_graph: Digraph, bound: int | None = 
     return Verdict(True, rng)
 
 
-def verify_acyclic_potential(X_graph: Digraph, Y_graph: Digraph, bound: int | None = 7) -> Verdict:
+def verify_acyclic_potential(
+    X_graph: Digraph, Y_graph: Digraph, bound: int | None = MATERIALIZE_BOUND
+) -> Verdict:
     """For labeled acyclic X and Y, DFS(X, Y) is acyclic and the
     potential f(sigma) = sum i*sigma(i) strictly decreases along every
     edge."""
@@ -141,7 +146,7 @@ def verify_subgraph_monotonicity(
     X_big: Digraph,
     Y_small: Digraph,
     Y_big: Digraph,
-    bound: int | None = 5,
+    bound: int | None = DFS_COMPARISON_BOUND,
 ) -> Verdict:
     """Multiset edge containment of X and Y lifts to witness containment
     of DFS(X, Y) in DFS(X', Y')."""
@@ -183,15 +188,8 @@ def verify_edge_removal(
     rhs = X * odp(X_graph, Y_graph, bound=None) - (X - ONE) * odp_edge_slice(
         X_graph, Y_graph, a, b, bound=None
     )
-    rng = f"polynomial identity over S_{X_graph.n}, edge {a}->{b}"
-    if lhs == rhs:
-        return Verdict(True, rng)
-    return Verdict(
-        False,
-        rng,
-        Counterexample(inputs=f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, edge {a}->{b}",
-                       lhs=lhs.format(), rhs=rhs.format()),
-    )
+    return _poly_verdict(lhs, rhs, f"polynomial identity over S_{X_graph.n}, edge {a}->{b}",
+                         f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, edge {a}->{b}")
 
 
 def verify_self_equivalent_slice(
@@ -214,15 +212,8 @@ def verify_self_equivalent_slice(
     check_bound("self-equivalent slice identity", X_graph.n, bound)
     lhs = odp_edge_slice(X_graph, Y_graph, a, b, bound=None)
     rhs = X * odp_edge_slice(X_graph, Y_graph, b, a, bound=None)
-    rng = f"slice identity over S_{X_graph.n}, pair ({a},{b})"
-    if lhs == rhs:
-        return Verdict(True, rng)
-    return Verdict(
-        False,
-        rng,
-        Counterexample(inputs=f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, pair ({a},{b})",
-                       lhs=lhs.format(), rhs=rhs.format()),
-    )
+    return _poly_verdict(lhs, rhs, f"slice identity over S_{X_graph.n}, pair ({a},{b})",
+                         f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, pair ({a},{b})")
 
 
 def verify_point_squish(
@@ -263,15 +254,9 @@ def verify_point_squish(
         u_reduced = u - 1 if u > v else u
         total = total + mult * odp_assign_slice(reduced, contracted, a_reduced, u_reduced, bound=None)
     rhs = X * total
-    rng = f"slice identity over S_{n}, pair ({a},{b}), {Y_graph.total_edges()} Y-edges"
-    if lhs == rhs:
-        return Verdict(True, rng)
-    return Verdict(
-        False,
-        rng,
-        Counterexample(inputs=f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, pair ({a},{b})",
-                       lhs=lhs.format(), rhs=rhs.format()),
-    )
+    return _poly_verdict(lhs, rhs,
+                         f"slice identity over S_{n}, pair ({a},{b}), {Y_graph.total_edges()} Y-edges",
+                         f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, pair ({a},{b})")
 
 
 def _chordality_certificates(X_graph: Digraph) -> dict:
@@ -279,6 +264,12 @@ def _chordality_certificates(X_graph: Digraph) -> dict:
         "x_chordal": find_chordal_labeling(X_graph) is not None,
         "complement_peo": is_peo(X_graph.complement()),
     }
+
+
+def _poly_verdict(lhs: Polynomial, rhs: Polynomial, rng: str, inputs: str) -> Verdict:
+    if lhs == rhs:
+        return Verdict(True, rng)
+    return Verdict(False, rng, Counterexample(inputs=inputs, lhs=lhs.format(), rhs=rhs.format()))
 
 
 def _prefix_verdict(
@@ -396,7 +387,7 @@ def verify_cycle_identity(
 
 
 def verify_generalized_equals_odp(
-    graph: Digraph, cyclic: bool, bound: int | None = 7
+    graph: Digraph, cyclic: bool, bound: int | None = GEN_EULERIAN_BOUND
 ) -> Verdict:
     """The generalized (cyclic) Eulerian polynomial of G equals the ODP
     of (Path_n or Cycle_n, X_G), where X_G orients every underlying edge
@@ -410,15 +401,8 @@ def verify_generalized_equals_odp(
     )
     lhs = generalized_eulerian_poly(graph, cyclic, bound=None)
     rhs = odp(cycle(n) if cyclic else path(n), oriented, bound=None)
-    rng = f"{'cyclic ' if cyclic else ''}G-descent distribution over S_{n}"
-    if lhs == rhs:
-        return Verdict(True, rng)
-    return Verdict(
-        False,
-        rng,
-        Counterexample(inputs=f"G={graph.to_json()}, cyclic={cyclic}",
-                       lhs=lhs.format(), rhs=rhs.format()),
-    )
+    return _poly_verdict(lhs, rhs, f"{'cyclic ' if cyclic else ''}G-descent distribution over S_{n}",
+                         f"G={graph.to_json()}, cyclic={cyclic}")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,18 @@ check entirely.
 PERM_ENUMERATION_BOUND = 12
 ODP_BOUND = 10
 
-# Full n!-vertex graph construction
+# Full n!-vertex graph construction, and the acyclicity check on it
 MATERIALIZE_BOUND = 7
+
+# Witness-by-witness comparison of two DFS graphs (automorphism,
+# subgraph monotonicity)
+DFS_COMPARISON_BOUND = 5
+
+# Generalized Eulerian polynomial against ODP
+GEN_EULERIAN_BOUND = 7
+
+# Rows of the CLI's Eulerian and cyclic-Eulerian tables
+TABLE_BOUND = 8
 
 # Factorial search over vertex relabelings
 RELABEL_SEARCH_BOUND = 8

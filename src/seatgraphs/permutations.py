@@ -24,10 +24,6 @@ def enumerate_perms(n: int, bound: int | None = PERM_ENUMERATION_BOUND) -> Itera
     return _itertools_permutations(range(1, n + 1))
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def validate_perm(p: Perm) -> None:
     if sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f"{p!r} is not a permutation of 1..{len(p)}")

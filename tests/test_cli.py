@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -46,6 +48,21 @@ class TestGen:
         assert r.returncode == 2
         assert "unrecognized graph spec" in r.stderr
 
+    @pytest.mark.parametrize("spec, field", [
+        ('{"n":"3","edges":[]}', "n"),
+        ('{"n":[1,2,3],"edges":[]}', "n"),
+        ('{"n":true,"edges":[]}', "n"),
+        ('{"n":3,"labels":"abc","edges":[]}', "labels"),
+        ('{"n":3,"labels":[1,2,2],"edges":[]}', "labels"),
+        ('{"n":3,"edges":[[3,1,5]]}', "edges"),
+        ('{"n":3,"edges":[[true,1]]}', "edges"),
+    ], ids=["n-string", "n-list", "n-bool", "labels-string", "labels-repeated", "edge-triple", "edge-bool"])
+    def test_malformed_graph_json_is_usage_error(self, spec, field):
+        r = run_cli("gen", spec)
+        assert r.returncode == 2
+        assert f"seatgraphs: error: graph field '{field}'" in r.stderr
+        assert "Traceback" not in r.stderr
+
 
 class TestOdp:
     def test_text(self):
@@ -72,14 +89,36 @@ class TestOdp:
         r = run_cli("odp", "tour:3", "path:4")
         assert r.returncode == 2
 
-    def test_bound_exit_code(self):
-        r = run_cli("odp", "tour:11", "path:11")
-        assert r.returncode == 3
-        assert "bound" in r.stderr
-
     def test_unsafe_bounds_lifts_the_limit(self):
         r = run_cli("odp", "tour:4", "path:4", "--unsafe-bounds")
         assert r.returncode == 0
+
+
+class TestBounds:
+    # each bounded command at the first n it refuses, plus the cheap
+    # --unsafe-bounds rows; a sweep row may fail its identity (exit 1)
+    @pytest.mark.parametrize("argv, codes", [
+        pytest.param(("odp", "tour:11", "path:11"), {3}, id="odp"),
+        pytest.param(("odp", "tour:11", "path:11", "--slice", "edge:2,1"), {3}, id="odp-edge-slice"),
+        pytest.param(("odp", "tour:11", "path:11", "--slice", "assign:1,1"), {3}, id="odp-assign-slice"),
+        pytest.param(("dfs", "tour:8", "tour:8"), {3}, id="dfs"),
+        pytest.param(("verify", "sweep", "--n", "5"), {3}, id="sweep"),
+        pytest.param(("verify", "automorphism", "--x", "tour:6", "--y", "tour:6"), {3}, id="automorphism"),
+        pytest.param(("verify", "acyclic", "--x", "tour:8", "--y", "tour:8"), {3}, id="acyclic"),
+        pytest.param(("verify", "edge-removal", "--x", "tour:9", "--y", "path:9", "--edge", "2,1"), {3},
+                     id="edge-removal"),
+        pytest.param(("verify", "path-identity", "--graph", "tour:9"), {3}, id="path-identity"),
+        pytest.param(("verify", "cycle-base", "--n", "9"), {3}, id="cycle-base"),
+        pytest.param(("verify", "gen-eulerian", "--graph", "tour:8"), {3}, id="gen-eulerian"),
+        pytest.param(("table", "eulerian", "--n", "9"), {3}, id="table-eulerian"),
+        pytest.param(("table", "cyclic-eulerian", "--n", "9"), {3}, id="table-cyclic-eulerian"),
+        pytest.param(("verify", "sweep", "--n", "5", "--unsafe-bounds"), {0, 1}, id="sweep-unsafe"),
+        pytest.param(("table", "eulerian", "--n", "9", "--unsafe-bounds"), {0}, id="table-eulerian-unsafe"),
+    ])
+    def test_bound_exit_code(self, argv, codes):
+        r = run_cli(*argv)
+        assert r.returncode in codes
+        assert ("bound" in r.stderr) == (codes == {3})
 
 
 class TestVerify:

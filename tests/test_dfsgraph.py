@@ -1,3 +1,4 @@
+import random
 from math import factorial
 
 import pytest
@@ -20,6 +21,26 @@ import oracles
 
 def pairs(g):
     return list(g.edges())
+
+
+def random_multigraph(rng, n):
+    # edges drawn with replacement from all ordered pairs, loops included
+    return Digraph.from_edges(
+        n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 3 * n))]
+    )
+
+
+def random_pairs():
+    """Seeded (X, Y) pairs at n = 1..5 with parallel edges, antiparallel
+    pairs and self-loops on both sides."""
+    rng = random.Random(4)
+    out = [(random_multigraph(rng, n), random_multigraph(rng, n)) for n in range(1, 6) for _ in range(6)]
+    for side in (0, 1):
+        graphs = [pair[side] for pair in out]
+        assert any(m > 1 for g in graphs for _, _, m in g.edge_counts)
+        assert any(u != v and g.multiplicity(v, u) for g in graphs for u, v, _ in g.edge_counts)
+        assert any(u == v for g in graphs for u, v, _ in g.edge_counts)
+    return out
 
 
 class TestOutNeighbors:
@@ -116,6 +137,10 @@ class TestOdp:
             for p in enumerate_perms(4)
         )
 
+    def test_matches_brute_force(self):
+        for x, y in random_pairs():
+            assert odp(x, y).coeffs == oracles.brute_odp(x.n, pairs(x), pairs(y))
+
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
             odp(tour(11), path(11))
@@ -144,12 +169,14 @@ class TestEdgeSlice:
         assert s == Polynomial((0, 0, 1 * 2))  # sigma=12 has outdeg 2, weight 2
 
     def test_matches_brute_force(self):
-        x = tour(3)
-        y = Digraph.from_edges(3, [(1, 2), (2, 1), (3, 2)])
-        for a, b in ((2, 1), (1, 2), (3, 1)):
-            assert odp_edge_slice(x, y, a, b).coeffs == oracles.brute_edge_slice(
-                3, pairs(x), pairs(y), a, b
-            )
+        for x, y in [(tour(3), Digraph.from_edges(3, [(1, 2), (2, 1), (3, 2)]))] + random_pairs():
+            n = x.n
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    if a != b:
+                        assert odp_edge_slice(x, y, a, b).coeffs == oracles.brute_edge_slice(
+                            n, pairs(x), pairs(y), a, b
+                        )
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
@@ -186,13 +213,13 @@ class TestAssignSlice:
         assert odp_assign_slice(g, tour(3), 1, 2) == Polynomial((2,))
 
     def test_matches_brute_force(self):
-        x = Digraph.from_edges(3, [(2, 1), (3, 2)])
-        y = cycle(3)
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                assert odp_assign_slice(x, y, i, j).coeffs == oracles.brute_assign_slice(
-                    3, pairs(x), pairs(y), i, j
-                )
+        for x, y in [(Digraph.from_edges(3, [(2, 1), (3, 2)]), cycle(3))] + random_pairs():
+            n = x.n
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    assert odp_assign_slice(x, y, i, j).coeffs == oracles.brute_assign_slice(
+                        n, pairs(x), pairs(y), i, j
+                    )
 
 
 class TestMaterialize:
