@@ -79,6 +79,13 @@ def _chi(n: int, edges: frozenset[UEdge]) -> Polynomial:
         rank = {v: i for i, v in enumerate(used)}
         core = frozenset((rank[u], rank[v]) for u, v in edges)
         return _x_power(isolated) * _chi(len(used), core)
+    if 2 * len(edges) == n * (n - 1):
+        # complete: k (k-1) ... (k-n+1), where the canonical key would try
+        # all n! relabelings of its single degree class
+        falling = Polynomial((1,))
+        for i in range(n):
+            falling = falling * Polynomial((-i, 1))
+        return falling
 
     key = _canonical_key(n, edges)
     hit = _chromatic_memo.get(key)

@@ -7,10 +7,36 @@ edge of X and sigma(a) -> sigma(b) is an edge of Y.  A witness carries
 multiplicity mult_X(a->b) * mult_Y(sigma(a)->sigma(b)), which is what
 makes every identity below exact on multigraphs.
 
-ODP and its slices stream over S_n without materializing the n!-vertex
-graph, through one counting loop.  A slice enumerates only the
-permutations it keeps: an assignment slice sigma(i) = j visits (n-1)!,
-an edge slice visits (n-2)! per non-loop Y-edge it pins under (a, b).
+ODP and its slices never materialize the n!-vertex graph.  All three go
+through one kernel that sums x^outdegree over the permutations taking
+some pinned positions to fixed values: an assignment slice sigma(i) = j
+pins one position, an edge slice pins (a, b) to each non-loop Y-edge in
+turn.  The kernel has two ways to take that sum:
+
+* A frontier walk assigns the free positions one at a time.  A placed
+  position is *live* while it has an X-edge to a position not yet
+  placed.  A walk state is the set of used values plus the values at
+  the live positions, and it carries the packed polynomial of the
+  partial assignments that reach it.  Placing position i at value v
+  adds mult_X(i->j) * mult_Y(v->sigma(j)) + mult_X(j->i) * mult_Y(sigma(j)->v)
+  over the placed neighbours j.  After kf of the F free positions, lf
+  of them live, a level holds exactly comb(F, kf) * perm(kf, lf)
+  states, so the cost of a walk order is known before it runs and
+  follows the vertex separation (pathwidth) of the walked graph in that
+  order.
+* A stream permutes the free values and tests every edge: F! times the
+  edge count.
+
+ODP(X, Y) = ODP(Y, X) through sigma -> sigma^-1, which turns the pin
+sigma(i) = j into sigma^-1(j) = i.  So the walk may run over either
+graph: the kernel prices the label order and a greedy fewest-live order
+on both sides by the state-count formula and takes the cheapest.  A walk
+whose level would exceed a fixed state cap is split instead: the
+position that stays live longest is pinned to each free value in turn
+and every part is walked.  The stream is the base case, taken whenever
+its price is lower, which is how small n (where n! beats any state
+table) and graphs wide on both sides are handled.
+
 ``materialize`` exists for inspection and DOT/JSON export at small n.
 """
 from __future__ import annotations
@@ -18,12 +44,31 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import permutations
+from math import comb, factorial, perm
 from typing import Iterator, NamedTuple
 
 from .digraph import Digraph
 from .limits import MATERIALIZE_BOUND, ODP_BOUND, check_bound
 from .permutations import Perm, enumerate_perms, swap_positions, validate_perm, word
 from .polynomials import Polynomial
+
+# Most states one level of a frontier walk may hold; a larger level is
+# split by pinning a position.  It bounds memory, and trades time for it
+# only at n >= 10.  Measured on a 2-vCPU host, Python 3.11: the dense
+# random n=9 pairs of the benchmark raised a process's peak RSS by about
+# 0.37 MB at 4096 and 0.42 MB at 8192 (from 17.3 MB), at equal speed;
+# odp(Path_12, Tour_12) took 0.65 s and 17.3 MB peak at 4096 against
+# 0.13 s and 18.2 MB at 8192, and 2.9 s at 2048.
+_STATE_CAP = 4096
+
+# Price of one walk step (one state scanning one free value) in stream
+# steps (one permutation testing one edge).  Measured on one 2-vCPU host,
+# Python 3.11: a walk step took 350-440 ns on narrow walks (Tour/Cycle,
+# Path/Tour at n=7..9) and 350-520 ns on dense random n=9 pairs; a stream
+# step took 95-120 ns, so the break-even ratio was 3.2-4.3 and 4.4-7.1.
+# At 5, each of the benchmark's random pairs for seeds 1-8 whose walk
+# lost to the stream is streamed.
+_WALK_COST = 5
 
 
 class DfsEdgeWitness(NamedTuple):
@@ -65,27 +110,211 @@ def outdegree(X: Digraph, Y: Digraph, p: Perm) -> int:
 
 def _odp_poly(X: Digraph, Y: Digraph, pinned: dict[int, int]) -> Polynomial:
     """Sum of x^outdegree over the permutations that take each pinned
-    position to its value (``{position: value}``, 1-based).  Only the
-    unpinned values are permuted, so pinning k positions visits (n-k)!
-    permutations."""
+    position to its value (``{position: value}``, 1-based)."""
     n = X.n
-    # p lists the free positions in label order, then the pinned ones
-    order = [i for i in range(1, n + 1) if i not in pinned] + list(pinned)
+    plan, side = _choose(X, Y, pinned)
+    # no coefficient exceeds n!, so this many bits per coefficient keep
+    # packed polynomials exact under shifts and sums
+    width = factorial(n).bit_length() + 1
+    packed = _stream(n, *side, width) if plan is None else _run(n, *side, plan, width)
+    low = (1 << width) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & low)
+        packed >>= width
+    return Polynomial(tuple(coeffs))
+
+
+class _Plan(NamedTuple):
+    """How to walk one graph with some positions pinned: one walk in
+    ``order``, or, when a level of that walk would hold more than
+    ``_STATE_CAP`` states, a split that pins ``pin`` to each free value
+    in turn and walks every part by ``part``."""
+
+    cost: int  # walk steps, every part included
+    order: list[int]  # free positions in walk order
+    last: dict[int, int]  # free position -> step of its last free neighbour
+    pin: int | None = None
+    part: _Plan | None = None
+
+
+def _choose(X: Digraph, Y: Digraph, pinned: dict[int, int]) -> tuple[_Plan | None, tuple]:
+    """The cheaper way to take the pinned sum: ``(None, side)`` streams
+    ``side``, ``(plan, side)`` walks it.  A side is (walked, other, pins):
+    the non-loop edge multiplicities of the graph whose positions are
+    assigned, those of the other graph, and the pins in its terms."""
+    n = X.n
+    xm = {(a, b): m for a, b, m in X.edge_counts if a != b}
+    # a Y self-loop never lies under an X-edge: sigma(a) != sigma(b)
+    ym = {(u, v): m for u, v, m in Y.edge_counts if u != v}
+    free = n - len(pinned)
+    sides = ((xm, ym, pinned), (ym, xm, {v: i for i, v in pinned.items()}))
+    # a permutation costs about one edge test more than its edges
+    stream = factorial(free) * (min(len(xm), len(ym)) + 1)
+    # any walk scans every proper subset of the free values at least once
+    if stream > _WALK_COST * free * (2**free - 1):
+        plan, side = min(((_plan(n, side[0], set(side[2])), side) for side in sides),
+                         key=lambda planned: planned[0].cost)
+        if _WALK_COST * plan.cost < stream:
+            return plan, side
+    return None, min(sides, key=lambda side: len(side[0]))
+
+
+def _run(n: int, walked: dict, other: dict, pins: dict[int, int], plan: _Plan, width: int) -> int:
+    if plan.part is None:
+        return _walk(n, walked, other, pins, plan.order, plan.last, width)
+    return sum(_run(n, walked, other, {**pins, plan.pin: v}, plan.part, width)
+               for v in range(1, n + 1) if v not in pins.values())
+
+
+def _plan(n: int, walked: dict, pinned: set[int]) -> _Plan:
+    """The cheaper of two orders of the free positions, split on the
+    position that stays live longest while a level exceeds the cap."""
+    nbrs: dict[int, set[int]] = {i: set() for i in range(1, n + 1) if i not in pinned}
+    for a, b in walked:
+        if a in nbrs and b in nbrs:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    cost, peak, order, last = min(_price(nbrs, list(nbrs)), _price(nbrs, _greedy_order(nbrs)),
+                                  key=lambda priced: priced[0])
+    if peak <= _STATE_CAP:
+        return _Plan(cost, order, last)
+    step = {p: t for t, p in enumerate(order)}
+    pin = max(order, key=lambda p: last[p] - step[p])
+    part = _plan(n, walked, pinned | {pin})
+    return _Plan(len(order) * part.cost, order, last, pin, part)
+
+
+def _greedy_order(nbrs: dict[int, set[int]]) -> list[int]:
+    """Place next whichever position leaves the fewest live ones; ties go
+    to the smaller label."""
+    left = {i: len(s) for i, s in nbrs.items()}  # unplaced neighbours
+    live: set[int] = set()
+    order: list[int] = []
+    unplaced = list(nbrs)
+    while unplaced:
+        best, fewest = 0, len(nbrs)
+        for i in unplaced:
+            change = (left[i] > 0) - sum(1 for j in nbrs[i] if left[j] == 1 and j in live)
+            if change < fewest:
+                best, fewest = i, change
+        unplaced.remove(best)
+        order.append(best)
+        for j in nbrs[best]:
+            left[j] -= 1
+            if not left[j]:
+                live.discard(j)
+        if left[best]:
+            live.add(best)
+    return order
+
+
+def _price(nbrs: dict[int, set[int]], order: list[int]) -> tuple[int, int, list[int], dict[int, int]]:
+    """Walk steps and largest level of walking ``order``, exactly: after
+    kf of the F free positions, lf of them live, a level holds
+    comb(F, kf) * perm(kf, lf) states, and each state scans all F free
+    values."""
+    free = len(order)
+    step = {p: t for t, p in enumerate(order)}
+    last = {}
+    deaths = [0] * free
+    for t, p in enumerate(order):
+        last[p] = end = max([step[q] for q in nbrs[p]], default=-1)
+        if end > t:
+            deaths[end] += 1
+    cost, peak, live = 0, 1, 0
+    for t, p in enumerate(order):
+        cost += comb(free, t) * perm(t, live) * free
+        live += (last[p] > t) - deaths[t]
+        peak = max(peak, comb(free, t + 1) * perm(t + 1, live))
+    return cost, peak, order, last
+
+
+def _stream(n: int, walked: dict, other: dict, pins: dict[int, int], width: int) -> int:
+    """Permute the unpinned values and test every walked edge."""
+    order = [i for i in range(1, n + 1) if i not in pins] + list(pins)
     slot = {pos: k for k, pos in enumerate(order)}
-    xedges = [(slot[a], slot[b], m) for a, b, m in X.edge_counts if a != b]
-    ymult = {(u, v): m for u, v, m in Y.edge_counts}
-    pinned_values = tuple(pinned.values())
+    edges = [(slot[a], slot[b], m) for (a, b), m in walked.items()]
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for (u, v), m in other.items():
+        rows[u][v] = m
+    pinned_values = tuple(pins.values())
     free_values = [v for v in range(1, n + 1) if v not in pinned_values]
     counts: dict[int, int] = {}
+    get = counts.get
     for free in permutations(free_values):
         p = free + pinned_values
         d = 0
-        for a, b, mx in xedges:
-            my = ymult.get((p[a], p[b]))
-            if my:
-                d += mx * my
-        counts[d] = counts.get(d, 0) + 1
-    return Polynomial(tuple(counts.get(m, 0) for m in range(max(counts) + 1)))
+        for a, b, mx in edges:
+            d += mx * rows[p[a]][p[b]]
+        counts[d] = get(d, 0) + 1
+    return sum(c << (d * width) for d, c in counts.items())
+
+
+def _walk(n: int, walked: dict, other: dict, pins: dict[int, int], order: list[int],
+          last: dict[int, int], width: int) -> int:
+    """Place the free positions in ``order``.  A state key packs the used
+    values as a bit mask over the free values, then the value of each live
+    position in a register of n.bit_length() bits; its entry is the packed
+    polynomial of the partial assignments that reach it."""
+    values = [v for v in range(1, n + 1) if v not in pins.values()]
+    bits = [1 << k for k in range(len(values))]
+    reg_bits = n.bit_length()
+    low = (1 << reg_bits) - 1
+    reg: dict[int, int] = {}
+    spare: list[int] = []
+    top = len(values)
+
+    def weight(i: int, j: int, v: int, u: int) -> int:
+        # X-edges i -> j and j -> i with sigma(i) = v, sigma(j) = u
+        return walked.get((i, j), 0) * other.get((v, u), 0) + walked.get((j, i), 0) * other.get((u, v), 0)
+
+    start = sum(m * other.get((pins[a], pins[b]), 0) for (a, b), m in walked.items() if a in pins and b in pins)
+    cur = {0: 1 << (start * width)}
+    for t, i in enumerate(order):
+        # the shift that placing value values[k] at i applies to the
+        # polynomial sits in field k of one packed int, so the neighbours'
+        # parts add as ints; fields are wide enough for any sum
+        earlier = [j for j in order[:t] if (i, j) in walked or (j, i) in walked]
+        fixed = [sum(weight(i, j, v, u) for j, u in pins.items()) for v in values]
+        grids = [[[weight(i, j, v, u) for v in values] for u in range(n + 1)] for j in earlier]
+        field = (width * (max(fixed) + sum(max(map(max, grid)) for grid in grids))).bit_length()
+        offsets = [k * field for k in range(len(values))]
+        mask = (1 << field) - 1
+
+        def pack(incs: list[int]) -> int:
+            return sum(width * inc << off for inc, off in zip(incs, offsets))
+
+        base = pack(fixed)
+        tables = [(reg[j], [pack(row) for row in grid]) for j, grid in zip(earlier, grids)]
+        clear = 0
+        for j in earlier:
+            if last[j] == t:
+                clear |= low << reg[j]
+                spare.append(reg[j])
+        keep = ~clear
+        if last[i] > t:
+            if spare:
+                reg[i] = spare.pop()
+            else:
+                reg[i], top = top, top + reg_bits
+            adds = [b | (v << reg[i]) for b, v in zip(bits, values)]
+        else:
+            adds = bits
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        while cur:
+            key, poly = cur.popitem()
+            shifts = base
+            for r, table in tables:
+                shifts += table[(key >> r) & low]
+            kept = key & keep
+            for b, a, off in zip(bits, adds, offsets):
+                if not key & b:
+                    k = kept | a
+                    nxt[k] = get(k, 0) + (poly << ((shifts >> off) & mask))
+        cur = nxt
+    return sum(cur.values())
 
 
 def odp(X: Digraph, Y: Digraph, bound: int | None = ODP_BOUND) -> Polynomial:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -111,13 +112,18 @@ class Digraph:
         """No parallel edges and no self-loops (antiparallel pairs allowed)."""
         return all(m == 1 and u != v for u, v, m in self.edge_counts)
 
-    def undirected_edges(self) -> set[tuple[int, int]]:
+    def undirected_edges(self) -> frozenset[tuple[int, int]]:
         """Underlying undirected edge set as ``(lo, hi)`` pairs.
 
         Direction and multiplicity are forgotten; antiparallel pairs
-        merge.  Self-loops survive as ``(v, v)``.
+        merge.  Self-loops survive as ``(v, v)``.  Built once per graph:
+        the G-descent statistics look it up once per permutation.
         """
-        return {(min(u, v), max(u, v)) for u, v, _ in self.edge_counts}
+        return self._undirected
+
+    @cached_property
+    def _undirected(self) -> frozenset[tuple[int, int]]:
+        return frozenset((min(u, v), max(u, v)) for u, v, _ in self.edge_counts)
 
     # -- predicates ----------------------------------------------------
 

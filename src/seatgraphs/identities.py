@@ -259,9 +259,11 @@ def verify_point_squish(
                          f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, pair ({a},{b})")
 
 
-def _chordality_certificates(X_graph: Digraph) -> dict:
+def _chordality_certificates(X_graph: Digraph, bound: int | None) -> dict:
+    # the labeling search takes the verifier's own bound, so
+    # --unsafe-bounds lifts both
     return {
-        "x_chordal": find_chordal_labeling(X_graph) is not None,
+        "x_chordal": find_chordal_labeling(X_graph, bound=bound) is not None,
         "complement_peo": is_peo(X_graph.complement()),
     }
 
@@ -305,6 +307,8 @@ def verify_path_identity(
         raise ValueError("the path identity is stated for simple labeled acyclic X")
     n = X_graph.n
     check_bound("path identity", n, bound)
+    # certificates first: a refused search then costs no ODP work
+    certificates = _chordality_certificates(X_graph, bound)
     lhs = expand_over_one_minus_x(odp(X_graph, path(n), bound=None), n + 1, truncation)
     chi = chromatic_poly(X_graph.complement())
     sign = (-1) ** n
@@ -314,7 +318,7 @@ def verify_path_identity(
         rhs,
         f"prefix m=0..{truncation} at n={n}",
         f"X={X_graph.to_json()}",
-        _chordality_certificates(X_graph),
+        certificates,
     )
 
 
@@ -373,6 +377,7 @@ def verify_cycle_identity(
     if n < 2:
         raise ValueError("the cycle identity requires n >= 2")
     check_bound("cycle identity", n, bound)
+    certificates = _chordality_certificates(X_graph, bound)
     lhs = expand_over_one_minus_x(odp(X_graph, cycle(n), bound=None), n, truncation)
     chihat = chromatic_poly(X_graph.complement()).divide_by_x()
     sign = (-1) ** n
@@ -382,7 +387,7 @@ def verify_cycle_identity(
         rhs,
         f"prefix m=0..{truncation} at n={n}",
         f"X={X_graph.to_json()}",
-        _chordality_certificates(X_graph),
+        certificates,
     )
 
 
@@ -391,7 +396,13 @@ def verify_generalized_equals_odp(
 ) -> Verdict:
     """The generalized (cyclic) Eulerian polynomial of G equals the ODP
     of (Path_n or Cycle_n, X_G), where X_G orients every underlying edge
-    of G from the larger label to the smaller."""
+    of G from the larger label to the smaller.
+
+    The two sides share no kernel: the left enumerates S_n and counts
+    G-descents of each permutation, the right is ``odp``, which walks the
+    path or cycle frontier (or streams its own edge tests where n! is
+    cheaper), so the check stays a test of the theorem, not of one loop
+    against itself."""
     from .polynomials import generalized_eulerian_poly
 
     n = graph.n

@@ -39,21 +39,17 @@ def excedance_count(p: Perm) -> int:
     return sum(v > i for i, v in enumerate(p, start=1))
 
 
-def _adjacency(graph: Digraph) -> set[tuple[int, int]]:
-    # direction and multiplicity forgotten; self-loops never match a
-    # descent pair, so dropping them is harmless
-    return {e for e in graph.undirected_edges() if e[0] != e[1]}
+def _g_descents(q: Perm, adjacent: frozenset[tuple[int, int]]) -> int:
+    # descents of consecutive values of q whose (lo, hi) pair is an
+    # underlying edge; a self-loop (v, v) never matches a descent
+    return sum(1 for a, b in zip(q, q[1:]) if a > b and (b, a) in adjacent)
 
 
 def g_descent_count(p: Perm, graph: Digraph) -> int:
     """Descents whose two values are adjacent in the reference graph."""
     if len(p) != graph.n:
         raise ValueError(f"permutation length {len(p)} does not match graph on {graph.n} vertices")
-    adj = _adjacency(graph)
-    return sum(
-        p[i] > p[i + 1] and (min(p[i], p[i + 1]), max(p[i], p[i + 1])) in adj
-        for i in range(len(p) - 1)
-    )
+    return _g_descents(p, graph.undirected_edges())
 
 
 def g_cyclic_descent_count(p: Perm, graph: Digraph) -> int:
@@ -63,11 +59,7 @@ def g_cyclic_descent_count(p: Perm, graph: Digraph) -> int:
         raise ValueError(f"permutation length {n} does not match graph on {graph.n} vertices")
     if n < 2:
         raise ValueError("cyclic descents require n >= 2")
-    adj = _adjacency(graph)
-    return sum(
-        p[i] > p[(i + 1) % n] and (min(p[i], p[(i + 1) % n]), max(p[i], p[(i + 1) % n])) in adj
-        for i in range(n)
-    )
+    return _g_descents(p + p[:1], graph.undirected_edges())
 
 
 def inverse(p: Perm) -> Perm:

@@ -114,6 +114,11 @@ class TestBounds:
         pytest.param(("table", "cyclic-eulerian", "--n", "9"), {3}, id="table-cyclic-eulerian"),
         pytest.param(("verify", "sweep", "--n", "5", "--unsafe-bounds"), {0, 1}, id="sweep-unsafe"),
         pytest.param(("table", "eulerian", "--n", "9", "--unsafe-bounds"), {0}, id="table-eulerian-unsafe"),
+        # the certificate search must honour --unsafe-bounds too
+        pytest.param(("verify", "path-identity", "--graph", '{"n":9,"edges":[]}', "--M", "2", "--unsafe-bounds"),
+                     {0, 1}, id="path-identity-unsafe"),
+        pytest.param(("verify", "cycle-identity", "--graph", '{"n":9,"edges":[]}', "--M", "2", "--unsafe-bounds"),
+                     {0, 1}, id="cycle-identity-unsafe"),
     ])
     def test_bound_exit_code(self, argv, codes):
         r = run_cli(*argv)

@@ -1,8 +1,10 @@
 import random
+from functools import cache
 from math import factorial
 
 import pytest
 
+from seatgraphs import dfsgraph
 from seatgraphs.digraph import Digraph, cycle, path, tour
 from seatgraphs.dfsgraph import (
     materialize,
@@ -14,7 +16,7 @@ from seatgraphs.dfsgraph import (
 )
 from seatgraphs.limits import BoundExceededError
 from seatgraphs.permutations import enumerate_perms, inverse
-from seatgraphs.polynomials import Polynomial
+from seatgraphs.polynomials import X, Polynomial, eulerian_poly
 
 import oracles
 
@@ -41,6 +43,104 @@ def random_pairs():
         assert any(u != v and g.multiplicity(v, u) for g in graphs for u, v, _ in g.edge_counts)
         assert any(u == v for g in graphs for u, v, _ in g.edge_counts)
     return out
+
+
+def narrow_multigraph(rng, n):
+    """A path with one edge doubled, one edge reversed and a self-loop:
+    its frontier stays at most two positions wide."""
+    edges = [(i, i + 1) for i in range(1, n)]
+    u, v = rng.choice(edges)
+    a, b = rng.choice(edges)
+    w = rng.randint(1, n)
+    return Digraph.from_edges(n, edges + [(u, v), (b, a), (w, w)])
+
+
+def kernel_pairs():
+    """Seeded (X, Y) pairs at n = 2..7 for every way the ODP kernel sums:
+    random multigraph pairs, and a narrow multigraph against a dense one
+    in both orders, so that each graph of a pair gets walked."""
+    rng = random.Random(12)
+    out = []
+    for n in range(2, 8):
+        dense = Digraph.from_edges(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(3 * n)])
+        narrow = narrow_multigraph(rng, n)
+        out += [(random_multigraph(rng, n), random_multigraph(rng, n)), (narrow, dense), (dense, narrow)]
+    return out
+
+
+def kernel_path(x, y, pinned):
+    """How the kernel takes the pinned sum for (x, y), by its own price."""
+    plan, side = dfsgraph._choose(x, y, pinned)
+    if plan is None:
+        return "stream"
+    if plan.part is not None:
+        return "split"
+    walked_x = side[0] == {(a, b): m for a, b, m in x.edge_counts if a != b}
+    return "walk X" if walked_x else "walk Y"
+
+
+def slice_queries(n, rng):
+    """Every (a, b) and (i, j) at n <= 5; one seeded pair of each above."""
+    if n <= 5:
+        return ([(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b],
+                [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)])
+    return [tuple(rng.sample(range(1, n + 1), 2))], [(rng.randint(1, n), rng.randint(1, n))]
+
+
+@cache
+def kernel_expectations():
+    """Oracle values for every kernel pair, computed once: (x, y, odp,
+    {(a, b): edge slice}, {(i, j): assignment slice})."""
+    rng = random.Random(13)
+    out = []
+    for x, y in kernel_pairs():
+        n = x.n
+        edge_pairs, assignments = slice_queries(n, rng)
+        out.append((x, y, oracles.brute_odp(n, pairs(x), pairs(y)),
+                    {(a, b): oracles.brute_edge_slice(n, pairs(x), pairs(y), a, b) for a, b in edge_pairs},
+                    {(i, j): oracles.brute_assign_slice(n, pairs(x), pairs(y), i, j) for i, j in assignments}))
+    return out
+
+
+def assert_kernel_matches_oracles():
+    for x, y, whole, edge, assign in kernel_expectations():
+        assert odp(x, y).coeffs == whole
+        for (a, b), ref in edge.items():
+            assert odp_edge_slice(x, y, a, b).coeffs == ref
+        for (i, j), ref in assign.items():
+            assert odp_assign_slice(x, y, i, j).coeffs == ref
+
+
+class TestKernelPaths:
+    def test_pairs_have_self_loops_parallel_and_antiparallel_edges(self):
+        for side in (0, 1):
+            graphs = [pair[side] for pair in kernel_pairs()]
+            assert any(m > 1 for g in graphs for _, _, m in g.edge_counts)
+            assert any(u != v and g.multiplicity(v, u) for g in graphs for u, v, _ in g.edge_counts)
+            assert any(u == v for g in graphs for u, v, _ in g.edge_counts)
+
+    def test_pairs_stream_and_walk_each_graph(self):
+        kinds = {kernel_path(x, y, {}) for x, y in kernel_pairs()}
+        assert {"stream", "walk X", "walk Y"} <= kinds
+
+    def test_matches_oracles(self):
+        assert_kernel_matches_oracles()
+
+    def test_forced_split_walks_match_oracles(self, monkeypatch):
+        # a walk priced at nothing and a 16-state cap: every sum, pinned
+        # or not, walks, and the wider ones split on pins
+        monkeypatch.setattr(dfsgraph, "_WALK_COST", 0)
+        monkeypatch.setattr(dfsgraph, "_STATE_CAP", 16)
+        kinds = {kernel_path(x, y, {}) for x, y in kernel_pairs()}
+        assert {"split", "walk X", "walk Y"} <= kinds
+        assert {kernel_path(x, y, {1: 2}) for x, y in kernel_pairs()} - {"stream"}
+        assert_kernel_matches_oracles()
+
+    def test_walk_reaches_n12(self):
+        # references are the Eulerian recurrence; streaming 12! would
+        # take hours
+        assert odp(path(12), tour(12), bound=None) == eulerian_poly(12)
+        assert odp(tour(12), cycle(12), bound=None) == 12 * X * eulerian_poly(11)
 
 
 class TestOutNeighbors:
@@ -108,7 +208,11 @@ class TestOdp:
         ]
         for x in graphs:
             for y in graphs:
-                assert odp(x, y) == odp(y, x)
+                # the kernel may walk the same graph for both orders, so
+                # each order is also held to the independent oracle
+                ref = oracles.brute_odp(3, pairs(x), pairs(y))
+                assert odp(x, y).coeffs == ref
+                assert odp(y, x).coeffs == ref
 
     def test_symmetry_in_arguments_random_up_to_n5(self):
         import random
@@ -119,7 +223,9 @@ class TestOdp:
             for _ in range(15):
                 x = Digraph.from_edges(n, [e for e in pool if rng.random() < 0.4])
                 y = Digraph.from_edges(n, [e for e in pool if rng.random() < 0.4])
-                assert odp(x, y) == odp(y, x)
+                ref = oracles.brute_odp(n, pairs(x), pairs(y))
+                assert odp(x, y).coeffs == ref
+                assert odp(y, x).coeffs == ref
 
     def test_descent_distribution_up_to_6(self):
         for n in range(1, 7):
