@@ -162,6 +162,18 @@ def find_chordal_labeling(graph: Digraph, bound: int | None = RELABEL_SEARCH_BOU
     chordality: it asks for an ordering in which every edge's whole
     label interval is a clique, so e.g. the claw K_{1,3} admits no such
     labeling even though it is a chordal graph.
+
+    The search is pruned, and its order is unchanged: vertices 1, 2, ...
+    take labels in turn, each trying its labels in increasing order, so
+    complete labelings come up in lexicographic order.  Every edge's
+    interval is a clique exactly when each vertex's closed neighbourhood
+    is a run of consecutive labels (the umbrella condition of Looges and
+    Olariu, 1993: labels i < j < k with an edge {i, k} force the edges
+    {i, j} and {j, k}).  A vertex skips every label that would leave
+    some labeled vertex's labeled closed neighbourhood short of a run
+    among the labels taken so far.  That pruning is exact: the labels
+    that break the run, and the edges among them, stay in every
+    completion, so no completion of a skipped prefix is a PEO.
     """
     if not graph.is_acyclic():
         raise ValueError("chordal labelings are defined for acyclic graphs")
@@ -171,14 +183,73 @@ def find_chordal_labeling(graph: Digraph, bound: int | None = RELABEL_SEARCH_BOU
         raise ValueError("chordal labelings are searched on labels 1..n")
     n = graph.n
     check_bound("chordal labeling search", n, bound)
-    underlying = graph.undirected_edges()
-    for rho in _itertools_permutations(range(1, n + 1)):
-        relabeled = {
-            (max(rho[u - 1], rho[v - 1]), min(rho[u - 1], rho[v - 1])) for u, v in underlying
-        }
-        if _intervals_are_cliques(relabeled):
-            return rho
-    return None
+    # vertices are 0-based; label l is bit l, and bits 0 and n + 1 are
+    # always taken, so a run of labels has a taken label on either side
+    earlier: list[list[int]] = [[] for _ in range(n)]  # neighbours labeled first
+    for lo, hi in graph.undirected_edges():
+        earlier[hi - 1].append(lo - 1)
+    every_label = (2 << n) - 2
+    used = 1 | 2 << n
+    label = [0] * n
+    closed = [0] * n  # a labeled vertex's label and its labeled neighbours'
+    options = [every_label] + [0] * (n - 1)  # labels left to try
+    v = 0
+    # a loop, not recursion, so that bound=None never meets the
+    # recursion limit
+    while v < n:
+        bit = options[v] & -options[v]
+        if not bit:
+            # vertex v has no label left: take back the one before it
+            if not v:
+                return None
+            v -= 1
+            bit = label[v]
+            used ^= bit
+            for u in earlier[v]:
+                closed[u] ^= bit
+            continue
+        options[v] ^= bit
+        used |= bit
+        label[v] = closed[v] = bit
+        for u in earlier[v]:
+            closed[u] |= bit
+            closed[v] |= label[u]
+        v += 1
+        if v < n:
+            options[v] = every_label & ~used & _labels_keeping_runs(v, earlier[v], label, closed, used)
+    return tuple(b.bit_length() - 1 for b in label)
+
+
+def _span(run: int) -> int:
+    """Every label from the lowest of ``run`` to its highest."""
+    return (1 << run.bit_length()) - (run & -run)
+
+
+def _reach(run: int, used: int) -> int:
+    """The labels strictly between the taken labels nearest below and
+    above ``run``."""
+    below = used & ((run & -run) - 1)
+    above = used & -(1 << run.bit_length())
+    return ((above & -above) - 1) ^ ((1 << below.bit_length()) - 1)
+
+
+def _labels_keeping_runs(v: int, neighbours: list[int], label: list[int], closed: list[int], used: int) -> int:
+    """The labels at which vertex ``v`` keeps the closed neighbourhood of
+    each of the vertices 0..v a run among the taken labels, given that
+    those of 0..v-1 are runs.  ``neighbours`` are v's among 0..v-1."""
+    fits = -1
+    own = 0
+    for u in range(v):
+        if u in neighbours:
+            own |= label[u]
+            fits &= _reach(closed[u], used)
+        else:
+            fits &= ~_span(closed[u])
+    if not own:
+        return fits
+    if used & _span(own) != own:
+        return 0
+    return fits & _reach(own, used)
 
 
 @dataclass(frozen=True)

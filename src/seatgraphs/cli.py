@@ -10,7 +10,8 @@ table   Eulerian / cyclic-Eulerian coefficient rows as CSV
 Graphs are accepted as named-family specs ("tour:4", "path:5",
 "cycle:3"), inline JSON ('{"n":3,"edges":[[3,1]]}'), or a path to a
 JSON file.  Exit codes: 0 success/holds, 1 a verdict failed, 2 usage
-error, 3 resource bound exceeded.  All output is deterministic.
+error, 3 resource bound exceeded, 4 internal error.  All output is
+deterministic.
 """
 from __future__ import annotations
 
@@ -342,8 +343,16 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"seatgraphs: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a defect, not a verdict: keep it off exit 1 and out of a traceback
+        print(f"seatgraphs: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"seatgraphs: error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

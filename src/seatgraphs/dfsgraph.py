@@ -31,11 +31,13 @@ ODP(X, Y) = ODP(Y, X) through sigma -> sigma^-1, which turns the pin
 sigma(i) = j into sigma^-1(j) = i.  So the walk may run over either
 graph: the kernel prices the label order and a greedy fewest-live order
 on both sides by the state-count formula and takes the cheapest.  A walk
-whose level would exceed a fixed state cap is split instead: the
-position that stays live longest is pinned to each free value in turn
-and every part is walked.  The stream is the base case, taken whenever
-its price is lower, which is how small n (where n! beats any state
-table) and graphs wide on both sides are handled.
+whose level would exceed a fixed state cap is split instead: of the
+positions live at that level, the one that stays live longest is pinned
+to each free value in turn and every part is walked.  A level with no
+live position holds only subsets of the values and is never split.  The
+stream is the base case, taken whenever its price is lower, which is how
+small n (where n! beats any state table) and graphs wide on both sides
+are handled.
 
 ``materialize`` exists for inspection and DOT/JSON export at small n.
 """
@@ -53,12 +55,13 @@ from .permutations import Perm, enumerate_perms, swap_positions, validate_perm, 
 from .polynomials import Polynomial
 
 # Most states one level of a frontier walk may hold; a larger level is
-# split by pinning a position.  It bounds memory, and trades time for it
-# only at n >= 10.  Measured on a 2-vCPU host, Python 3.11: the dense
-# random n=9 pairs of the benchmark raised a process's peak RSS by about
-# 0.37 MB at 4096 and 0.42 MB at 8192 (from 17.3 MB), at equal speed;
-# odp(Path_12, Tour_12) took 0.65 s and 17.3 MB peak at 4096 against
-# 0.13 s and 18.2 MB at 8192, and 2.9 s at 2048.
+# split by pinning a position live at it (a level with no live position
+# holds bare subsets, which no pin would merge).  It bounds memory, and
+# trades time for it only at n >= 10.  Measured on a 2-vCPU host, Python
+# 3.11: the dense random n=9 pairs of the benchmark raised a process's
+# peak RSS by about 0.37 MB at 4096 and 0.42 MB at 8192 (from 17.3 MB),
+# at equal speed; odp(Path_12, Tour_12) took 0.65 s and 17.3 MB peak at
+# 4096 against 0.13 s and 18.2 MB at 8192, and 2.9 s at 2048.
 _STATE_CAP = 4096
 
 # Price of one walk step (one state scanning one free value) in stream
@@ -128,8 +131,9 @@ def _odp_poly(X: Digraph, Y: Digraph, pinned: dict[int, int]) -> Polynomial:
 class _Plan(NamedTuple):
     """How to walk one graph with some positions pinned: one walk in
     ``order``, or, when a level of that walk would hold more than
-    ``_STATE_CAP`` states, a split that pins ``pin`` to each free value
-    in turn and walks every part by ``part``."""
+    ``_STATE_CAP`` states with some position live, a split that pins
+    ``pin`` to each free value in turn and walks every part by
+    ``part``."""
 
     cost: int  # walk steps, every part included
     order: list[int]  # free positions in walk order
@@ -168,19 +172,24 @@ def _run(n: int, walked: dict, other: dict, pins: dict[int, int], plan: _Plan, w
 
 
 def _plan(n: int, walked: dict, pinned: set[int]) -> _Plan:
-    """The cheaper of two orders of the free positions, split on the
-    position that stays live longest while a level exceeds the cap."""
+    """The cheaper of two orders of the free positions.  While a level
+    exceeds the cap, split on the position that stays live longest among
+    those live at such a level; a level with none live is not split."""
     nbrs: dict[int, set[int]] = {i: set() for i in range(1, n + 1) if i not in pinned}
     for a, b in walked:
         if a in nbrs and b in nbrs:
             nbrs[a].add(b)
             nbrs[b].add(a)
-    cost, peak, order, last = min(_price(nbrs, list(nbrs)), _price(nbrs, _greedy_order(nbrs)),
-                                  key=lambda priced: priced[0])
-    if peak <= _STATE_CAP:
-        return _Plan(cost, order, last)
+    cost, levels, order, last = min(_price(nbrs, list(nbrs)), _price(nbrs, _greedy_order(nbrs)),
+                                    key=lambda priced: priced[0])
     step = {p: t for t, p in enumerate(order)}
-    pin = max(order, key=lambda p: last[p] - step[p])
+    over = [t for t, size in enumerate(levels) if size > _STATE_CAP]
+    # a level with no live position holds bare subsets of the free
+    # values: pinning would multiply the walk and merge nothing
+    live = [p for p in order if any(step[p] <= t < last[p] for t in over)]
+    if not live:
+        return _Plan(cost, order, last)
+    pin = max(live, key=lambda p: last[p] - step[p])
     part = _plan(n, walked, pinned | {pin})
     return _Plan(len(order) * part.cost, order, last, pin, part)
 
@@ -209,11 +218,11 @@ def _greedy_order(nbrs: dict[int, set[int]]) -> list[int]:
     return order
 
 
-def _price(nbrs: dict[int, set[int]], order: list[int]) -> tuple[int, int, list[int], dict[int, int]]:
-    """Walk steps and largest level of walking ``order``, exactly: after
+def _price(nbrs: dict[int, set[int]], order: list[int]) -> tuple[int, list[int], list[int], dict[int, int]]:
+    """Walk steps and level sizes of walking ``order``, exactly: after
     kf of the F free positions, lf of them live, a level holds
     comb(F, kf) * perm(kf, lf) states, and each state scans all F free
-    values."""
+    values.  ``levels[t]`` is the size after placing ``order[t]``."""
     free = len(order)
     step = {p: t for t, p in enumerate(order)}
     last = {}
@@ -222,12 +231,12 @@ def _price(nbrs: dict[int, set[int]], order: list[int]) -> tuple[int, int, list[
         last[p] = end = max([step[q] for q in nbrs[p]], default=-1)
         if end > t:
             deaths[end] += 1
-    cost, peak, live = 0, 1, 0
+    cost, levels, live = 0, [], 0
     for t, p in enumerate(order):
         cost += comb(free, t) * perm(t, live) * free
         live += (last[p] > t) - deaths[t]
-        peak = max(peak, comb(free, t + 1) * perm(t + 1, live))
-    return cost, peak, order, last
+        levels.append(comb(free, t + 1) * perm(t + 1, live))
+    return cost, levels, order, last
 
 
 def _stream(n: int, walked: dict, other: dict, pins: dict[int, int], width: int) -> int:

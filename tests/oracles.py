@@ -136,3 +136,19 @@ def g_descent_distribution(n, adjacency, cyclic=False):
         )
         c[d] += 1
     return tuple(c.get(m, 0) for m in range(max(c) + 1))
+
+
+def brute_chordal_labeling(n, edges):
+    """First labeling rho of 1..n, in lexicographic order, under which
+    every edge's label interval is a clique, or None: every labeling is
+    tried.  ``edges`` are undirected pairs; vertex u gets label rho[u-1]."""
+    for rho in permutations(range(1, n + 1)):
+        relabeled = {frozenset((rho[u - 1], rho[v - 1])) for u, v in edges}
+        if all(
+            frozenset((a, b)) in relabeled
+            for e in relabeled
+            for a in range(min(e), max(e) + 1)
+            for b in range(a + 1, max(e) + 1)
+        ):
+            return rho
+    return None

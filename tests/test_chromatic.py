@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -14,6 +15,16 @@ from seatgraphs.digraph import Digraph, cycle, path, tour
 from seatgraphs.polynomials import Polynomial
 
 import oracles
+
+
+def lex_rank(rho):
+    """1-based rank of a permutation of 1..n in lexicographic order."""
+    rest = sorted(rho)
+    rank = 1
+    for i, v in enumerate(rho):
+        rank += rest.index(v) * factorial(len(rho) - 1 - i)
+        rest.remove(v)
+    return rank
 
 
 def undirected_subsets(n):
@@ -153,6 +164,36 @@ class TestFindChordalLabeling:
             found = find_chordal_labeling(g) is not None
             expected = chordal_by_elimination(4, edges) and not has_induced_claw(4, edges)
             assert found == expected
+
+    def test_matches_oracle_on_every_graph_up_to_5(self):
+        for n in range(1, 6):
+            for _, g in enumerate_labeled_acyclic(n):
+                edges = sorted(g.undirected_edges())
+                assert find_chordal_labeling(g) == oracles.brute_chordal_labeling(n, edges)
+
+    def test_matches_oracle_on_a_seeded_sample_at_6_and_7(self):
+        rng = random.Random(2)
+        sample = []
+        for n in (6, 7):
+            for _ in range(8):
+                p = rng.random()
+                sample.append((n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
+        claw = [(1, 2), (1, 3), (1, 4)]
+        sample += [(6, claw), (7, claw)]  # plus isolated vertices
+        ranks = []
+        for n, edges in sample:
+            rho = find_chordal_labeling(Digraph.from_edges(n, [(hi, lo) for lo, hi in edges]))
+            assert rho == oracles.brute_chordal_labeling(n, edges)
+            ranks.append(lex_rank(rho) if rho else None)
+        # the sample reaches graphs with no labeling and a first labeling
+        # far into the lexicographic order
+        assert None in ranks[:8] and None in ranks[8:16]
+        assert max(r for r in ranks if r) >= 800
+        assert ranks[-2:] == [None, None]
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # one level per vertex, past Python's default limit of 1000
+        assert find_chordal_labeling(path(1100), bound=None) == tuple(range(1, 1101))
 
     def test_certificate_actually_is_a_peo(self):
         g = Digraph.from_edges(4, [(3, 1), (4, 2)])

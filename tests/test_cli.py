@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from seatgraphs import cli
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -256,6 +258,13 @@ class TestDeterminismAndOutput:
         assert r.stdout == ""
         assert target.read_text() == '{"n":3,"edges":[[2,1],[3,1],[3,2]]}\n'
 
+    def test_unwritable_output_is_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        r = run_cli("gen", "tour:3", "--output", str(target))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"seatgraphs: error: cannot write {target}: ")
+        assert "Traceback" not in r.stderr
+
     def test_repeat_invocations_are_byte_identical(self):
         invocations = [
             ("gen", "tour:4"),
@@ -270,3 +279,16 @@ class TestDeterminismAndOutput:
             second = run_cli(*argv)
             assert first.stdout == second.stdout
             assert first.returncode == second.returncode
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4_without_traceback(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(cli, "run_gen", broken)
+        assert cli.main(["gen", "tour:3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "seatgraphs: internal error: RuntimeError: kernel fault\n"
+        assert "Traceback" not in captured.err

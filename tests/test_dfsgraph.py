@@ -136,6 +136,16 @@ class TestKernelPaths:
         assert {kernel_path(x, y, {1: 2}) for x, y in kernel_pairs()} - {"stream"}
         assert_kernel_matches_oracles()
 
+    def test_bare_subset_levels_are_not_split(self):
+        # no position of an edgeless graph is ever live, so its walk's
+        # states are bare subsets of the values: the comb(15, 7) = 6435
+        # states of the widest level exceed the cap, yet no pin would
+        # merge any of them
+        g = Digraph.from_edges(15, [])
+        plan, _ = dfsgraph._choose(g, g, {})
+        assert plan is not None and plan.pin is None
+        assert odp(g, g, bound=None) == Polynomial((factorial(15),))
+
     def test_walk_reaches_n12(self):
         # references are the Eulerian recurrence; streaming 12! would
         # take hours
