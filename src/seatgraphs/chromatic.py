@@ -3,16 +3,18 @@ sink-equivalent edge sequence from the transitive tournament down to a
 target graph.
 
 Chromatic polynomials are computed by deletion-contraction over the
-underlying undirected simple graph, memoized on exact canonical keys
-(minimum relabeling within degree classes, exhaustively).  The memo
-table only ever receives idempotent inserts, so recomputation is
-harmless and the cache can never go stale.
+underlying undirected simple graph, memoized on the exact labeled
+graph once its isolated vertices are split off: the key is n and one
+int with bit u*n + v set for each edge {u, v}, u < v.  Isomorphic
+graphs labeled differently take separate entries: a canonical
+relabeling would cost up to n! per key on a regular graph.
+The memo table only ever receives idempotent inserts, so recomputation
+is harmless and the cache can never go stale.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations as _itertools_permutations
 from typing import Iterator
 
 from .digraph import Digraph
@@ -27,46 +29,7 @@ def _x_power(n: int) -> Polynomial:
     return Polynomial((0,) * n + (1,))
 
 
-def _canonical_key(n: int, edges: frozenset[UEdge]) -> tuple:
-    """Exact isomorphism-invariant key: minimum edge encoding over all
-    degree-class-respecting relabelings."""
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(deg[v], []).append(v)
-    classes = [by_degree[d] for d in sorted(by_degree)]
-    # new indices are handed out class by class, ascending degree
-    starts = []
-    offset = 0
-    for cls in classes:
-        starts.append(offset)
-        offset += len(cls)
-
-    best: tuple[UEdge, ...] | None = None
-    def assign(class_idx: int, mapping: dict[int, int]) -> None:
-        nonlocal best
-        if class_idx == len(classes):
-            relabeled = tuple(sorted(
-                (min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in edges
-            ))
-            if best is None or relabeled < best:
-                best = relabeled
-            return
-        cls = classes[class_idx]
-        base = starts[class_idx]
-        for perm in _itertools_permutations(cls):
-            for i, v in enumerate(perm):
-                mapping[v] = base + i
-            assign(class_idx + 1, mapping)
-
-    assign(0, {})
-    return (n, best)
-
-
-_chromatic_memo: dict[tuple, Polynomial] = {}
+_chromatic_memo: dict[tuple[int, int], Polynomial] = {}
 
 
 def _chi(n: int, edges: frozenset[UEdge]) -> Polynomial:
@@ -79,15 +42,8 @@ def _chi(n: int, edges: frozenset[UEdge]) -> Polynomial:
         rank = {v: i for i, v in enumerate(used)}
         core = frozenset((rank[u], rank[v]) for u, v in edges)
         return _x_power(isolated) * _chi(len(used), core)
-    if 2 * len(edges) == n * (n - 1):
-        # complete: k (k-1) ... (k-n+1), where the canonical key would try
-        # all n! relabelings of its single degree class
-        falling = Polynomial((1,))
-        for i in range(n):
-            falling = falling * Polynomial((-i, 1))
-        return falling
 
-    key = _canonical_key(n, edges)
+    key = (n, sum(1 << (u * n + v) for u, v in edges))
     hit = _chromatic_memo.get(key)
     if hit is not None:
         return hit
@@ -129,6 +85,9 @@ def is_peo(graph: Digraph) -> bool:
 
     For every edge j -> i the whole interval [i, j] must induce a
     transitive tournament: b -> a present for all j >= b > a >= i.
+    That holds exactly when every vertex's closed neighbourhood is a run
+    of consecutive labels (the umbrella condition of Looges and Olariu,
+    1993), the test the labeling search below prunes by.
     """
     if not graph.is_labeled_acyclic():
         raise ValueError("perfect elimination orderings are defined for labeled acyclic graphs")
@@ -136,18 +95,11 @@ def is_peo(graph: Digraph) -> bool:
         raise ValueError("perfect elimination orderings are defined for simple graphs")
     if not graph.is_standard:
         raise ValueError("perfect elimination orderings are defined on labels 1..n")
-    return _intervals_are_cliques({(j, i) for j, i, _ in graph.edge_counts})
-
-
-def _intervals_are_cliques(edges: set[tuple[int, int]]) -> bool:
-    """For every (hi, lo) in ``edges``, every (b, a) with
-    hi >= b > a >= lo is in ``edges`` too."""
-    for j, i in edges:
-        for b in range(i + 1, j + 1):
-            for a in range(i, b):
-                if (b, a) not in edges:
-                    return False
-    return True
+    closed = {v: 1 << v for v in graph.labels}
+    for j, i, _ in graph.edge_counts:
+        closed[i] |= 1 << j
+        closed[j] |= 1 << i
+    return all(_span(c) == c for c in closed.values())
 
 
 def find_chordal_labeling(graph: Digraph, bound: int | None = RELABEL_SEARCH_BOUND) -> Perm | None:

@@ -259,12 +259,12 @@ def verify_point_squish(
                          f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, pair ({a},{b})")
 
 
-def _chordality_certificates(X_graph: Digraph, bound: int | None) -> dict:
+def _chordality_certificates(X_graph: Digraph, complement: Digraph, bound: int | None) -> dict:
     # the labeling search takes the verifier's own bound, so
     # --unsafe-bounds lifts both
     return {
         "x_chordal": find_chordal_labeling(X_graph, bound=bound) is not None,
-        "complement_peo": is_peo(X_graph.complement()),
+        "complement_peo": is_peo(complement),
     }
 
 
@@ -307,10 +307,11 @@ def verify_path_identity(
         raise ValueError("the path identity is stated for simple labeled acyclic X")
     n = X_graph.n
     check_bound("path identity", n, bound)
+    complement = X_graph.complement()
     # certificates first: a refused search then costs no ODP work
-    certificates = _chordality_certificates(X_graph, bound)
+    certificates = _chordality_certificates(X_graph, complement, bound)
     lhs = expand_over_one_minus_x(odp(X_graph, path(n), bound=None), n + 1, truncation)
-    chi = chromatic_poly(X_graph.complement())
+    chi = chromatic_poly(complement)
     sign = (-1) ** n
     rhs = SeriesPrefix.from_values(sign * chi(-m - 1) for m in range(truncation + 1))
     return _prefix_verdict(
@@ -377,9 +378,10 @@ def verify_cycle_identity(
     if n < 2:
         raise ValueError("the cycle identity requires n >= 2")
     check_bound("cycle identity", n, bound)
-    certificates = _chordality_certificates(X_graph, bound)
+    complement = X_graph.complement()
+    certificates = _chordality_certificates(X_graph, complement, bound)
     lhs = expand_over_one_minus_x(odp(X_graph, cycle(n), bound=None), n, truncation)
-    chihat = chromatic_poly(X_graph.complement()).divide_by_x()
+    chihat = chromatic_poly(complement).divide_by_x()
     sign = (-1) ** n
     rhs = SeriesPrefix.from_values(sign * n * -chihat(-m) for m in range(truncation + 1))
     return _prefix_verdict(

@@ -20,7 +20,7 @@ DFS_COMPARISON_BOUND = 5
 # Generalized Eulerian polynomial against ODP
 GEN_EULERIAN_BOUND = 7
 
-# Rows of the CLI's Eulerian and cyclic-Eulerian tables
+# Rows of the CLI's cyclic-Eulerian table
 TABLE_BOUND = 8
 
 # Factorial search over vertex relabelings

@@ -179,7 +179,7 @@ def expand_over_one_minus_x(p: Polynomial, k: int, truncation: int) -> SeriesPre
     return SeriesPrefix(tuple(coeffs))
 
 
-def eulerian_poly(n: int, bound: int | None = None) -> Polynomial:
+def eulerian_poly(n: int) -> Polynomial:
     """The Eulerian polynomial: coefficient m counts permutations of S_n
     with exactly m descents.
 
@@ -189,7 +189,6 @@ def eulerian_poly(n: int, bound: int | None = None) -> Polynomial:
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    check_bound("eulerian polynomial", n, bound)
     row = [1]
     for size in range(2, n + 1):
         row = [

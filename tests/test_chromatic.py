@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -25,6 +25,14 @@ def lex_rank(rho):
         rank += rest.index(v) * factorial(len(rho) - 1 - i)
         rest.remove(v)
     return rank
+
+
+def falling(k, n):
+    """k (k-1) ... (k-n+1)."""
+    out = 1
+    for i in range(n):
+        out *= k - i
+    return out
 
 
 def undirected_subsets(n):
@@ -87,6 +95,44 @@ class TestChromaticPoly:
         b = Digraph.from_edges(4, [(4, 2), (2, 1), (3, 1)])
         assert chromatic_poly(a) == chromatic_poly(b)
 
+    def test_memo_tells_vertex_counts_apart(self):
+        # an edge {u, v} of an n-vertex graph (0-based) sets bit u*n + v
+        # of the memo key, so these two share their edge bits: a triangle
+        # with two pendant edges, and a forest of two trees
+        triangle = chromatic_poly(Digraph.from_edges(5, [(2, 1), (4, 1), (5, 1), (4, 3), (5, 4)]))
+        forest = chromatic_poly(Digraph.from_edges(7, [(2, 1), (4, 1), (5, 1), (7, 2), (6, 3)]))
+        for k in range(-3, 8):
+            assert triangle(k) == k * (k - 1) ** 3 * (k - 2)
+            assert forest(k) == k ** 2 * (k - 1) ** 5
+
+    def test_path_on_twelve(self):
+        # a tree: k (k-1)^11
+        chi = chromatic_poly(path(12))
+        assert all(chi(k) == k * (k - 1) ** 11 for k in range(-3, 13))
+
+    def test_cocktail_party_graph(self):
+        # K_8 minus a perfect matching, 6-regular: each color class is a
+        # vertex or one of the 4 removed pairs
+        g = Digraph.from_edges(8, [(2, 1), (4, 3), (6, 5), (8, 7)]).complement()
+        chi = chromatic_poly(g)
+        for k in range(-3, 10):
+            assert chi(k) == sum(comb(4, i) * falling(k, 8 - i) for i in range(5))
+
+    def test_complete_graphs(self):
+        for n in (9, 10, 11):
+            chi = chromatic_poly(tour(n))
+            assert all(chi(k) == falling(k, n) for k in range(-3, n + 2))
+
+    def test_agrees_with_coloring_oracle_on_a_seeded_sample_5_to_8(self):
+        # the oracle walks every coloring, so n=8 gets one dense graph
+        rng = random.Random(1)
+        for n in range(5, 9):
+            for _ in range(3 if n < 8 else 1):
+                edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.75]
+                chi = chromatic_poly(Digraph.from_edges(n, [(hi, lo) for lo, hi in edges]))
+                for k in range(n + 1):
+                    assert chi(k) == oracles.proper_coloring_count(n, edges, k)
+
 
 class TestIsPeo:
     def test_tournaments(self):
@@ -105,6 +151,15 @@ class TestIsPeo:
     def test_requires_labeled_acyclic(self):
         with pytest.raises(ValueError):
             is_peo(path(3))
+
+    def test_matches_oracle_on_every_graph_up_to_5(self):
+        # the identity is the first labeling in lexicographic order, so
+        # the oracle returns it exactly when it is a PEO
+        for n in range(1, 6):
+            identity = tuple(range(1, n + 1))
+            for _, g in enumerate_labeled_acyclic(n):
+                edges = sorted(g.undirected_edges())
+                assert is_peo(g) == (oracles.brute_chordal_labeling(n, edges) == identity)
 
 
 class TestFindChordalLabeling:
