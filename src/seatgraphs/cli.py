@@ -39,7 +39,8 @@ from .identities import (
     verify_point_squish,
     verify_self_equivalent_slice,
 )
-from .limits import DEFAULT_TRUNCATION, TABLE_BOUND, BoundExceededError
+from .limits import (DEFAULT_TRUNCATION, DFS_COMPARISON_BOUND, GEN_EULERIAN_BOUND, IDENTITY_BOUND,
+                     MATERIALIZE_BOUND, ODP_BOUND, TABLE_BOUND, BoundExceededError, check_bound)
 from .polynomials import eulerian_poly, generalized_eulerian_poly
 
 _FAMILY_RE = re.compile(r"(tour|path|cycle):(\d+)")
@@ -58,27 +59,46 @@ THEOREMS = (
     "sweep",
 )
 
+# the bound on n each theorem's verifier applies (its default), checked
+# on every graph spec before the graph is built
+THEOREM_BOUNDS = {
+    "automorphism": DFS_COMPARISON_BOUND,
+    "acyclic": MATERIALIZE_BOUND,
+    "edge-removal": IDENTITY_BOUND,
+    "self-slice": IDENTITY_BOUND,
+    "squish": IDENTITY_BOUND,
+    "path-identity": IDENTITY_BOUND,
+    "cycle-identity": IDENTITY_BOUND,
+    "gen-eulerian": GEN_EULERIAN_BOUND,
+}
+
 
 class UsageError(Exception):
     pass
 
 
-def parse_graph_spec(spec: str) -> Digraph:
+def parse_graph_spec(spec: str, what: str = "graph", bound: int | None = None) -> Digraph:
+    """The graph a spec names.  ``n`` (the family suffix or the JSON
+    field) is checked against ``bound`` before anything of that size is
+    built, so an oversized spec exits 3 instead of exhausting memory."""
     m = _FAMILY_RE.fullmatch(spec)
     if m:
-        return _FAMILIES[m.group(1)](int(m.group(2)))
+        n = int(m.group(2))
+        check_bound(what, n, bound)
+        return _FAMILIES[m.group(1)](n)
     if spec.lstrip().startswith("{"):
-        try:
-            return Digraph.from_json(spec)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"invalid graph JSON: {exc}") from exc
-    p = Path(spec)
-    if p.is_file():
-        try:
-            return Digraph.from_json(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"invalid graph JSON in {spec}: {exc}") from exc
-    raise UsageError(f"unrecognized graph spec: {spec!r}")
+        text, source = spec, ""
+    elif Path(spec).is_file():
+        text, source = Path(spec).read_text(), f" in {spec}"
+    else:
+        raise UsageError(f"unrecognized graph spec: {spec!r}")
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"invalid graph JSON{source}: {exc}") from exc
+    if isinstance(obj, dict) and type(obj.get("n")) is int:
+        check_bound(what, obj["n"], bound)
+    return Digraph.from_json_obj(obj)
 
 
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
@@ -217,29 +237,31 @@ def run_gen(args) -> tuple[str, int]:
 
 
 def run_odp(args) -> tuple[str, int]:
-    X = parse_graph_spec(args.x_spec)
-    Y = parse_graph_spec(args.y_spec)
+    kind, _, rest = (args.slice_spec or "").partition(":")
+    what = {"edge": "ODP edge slice", "assign": "ODP assignment slice"}.get(kind, "outdegree polynomial")
+    bound = None if args.unsafe_bounds else ODP_BOUND
+    X = parse_graph_spec(args.x_spec, what, bound)
+    Y = parse_graph_spec(args.y_spec, what, bound)
     unsafe = _unsafe(args)
     if args.slice_spec is None:
         poly = odp(X, Y, **unsafe)
+    elif kind == "edge":
+        a, b = _parse_pair(rest, "--slice edge")
+        poly = odp_edge_slice(X, Y, a, b, **unsafe)
+    elif kind == "assign":
+        i, j = _parse_pair(rest, "--slice assign")
+        poly = odp_assign_slice(X, Y, i, j, **unsafe)
     else:
-        kind, _, rest = args.slice_spec.partition(":")
-        if kind == "edge":
-            a, b = _parse_pair(rest, "--slice edge")
-            poly = odp_edge_slice(X, Y, a, b, **unsafe)
-        elif kind == "assign":
-            i, j = _parse_pair(rest, "--slice assign")
-            poly = odp_assign_slice(X, Y, i, j, **unsafe)
-        else:
-            raise UsageError(f"unknown slice kind {kind!r}; use edge:a,b or assign:i,j")
+        raise UsageError(f"unknown slice kind {kind!r}; use edge:a,b or assign:i,j")
     if args.format == "json":
         return json.dumps(list(poly.coeffs), separators=(",", ":")) + "\n", 0
     return poly.format() + "\n", 0
 
 
 def run_dfs(args) -> tuple[str, int]:
-    X = parse_graph_spec(args.x_spec)
-    Y = parse_graph_spec(args.y_spec)
+    bound = None if args.unsafe_bounds else MATERIALIZE_BOUND
+    X = parse_graph_spec(args.x_spec, "DFS materialization", bound)
+    Y = parse_graph_spec(args.y_spec, "DFS materialization", bound)
     dfs = materialize(X, Y, **_unsafe(args))
     if args.format == "dot":
         return dfs.to_dot(), 0
@@ -261,40 +283,32 @@ def run_verify(args) -> tuple[str, int]:
             text = _sweep_csv(rows)
         return text, 0 if ok else 1
 
+    bound = None if args.unsafe_bounds else THEOREM_BOUNDS.get(name)
+
+    def graph(attr: str, flag: str):
+        return parse_graph_spec(_require(args, attr, flag), f"{name} verification", bound)
+
     if name == "automorphism":
-        verdict = verify_automorphism(parse_graph_spec(_require(args, "x_spec", "--x")),
-                                      parse_graph_spec(_require(args, "y_spec", "--y")),
-                                      **unsafe)
+        verdict = verify_automorphism(graph("x_spec", "--x"), graph("y_spec", "--y"), **unsafe)
     elif name == "acyclic":
-        verdict = verify_acyclic_potential(parse_graph_spec(_require(args, "x_spec", "--x")),
-                                           parse_graph_spec(_require(args, "y_spec", "--y")),
-                                           **unsafe)
+        verdict = verify_acyclic_potential(graph("x_spec", "--x"), graph("y_spec", "--y"), **unsafe)
     elif name == "edge-removal":
         a, b = _parse_pair(_require(args, "edge", "--edge"), "--edge")
-        verdict = verify_edge_removal(parse_graph_spec(_require(args, "x_spec", "--x")),
-                                      parse_graph_spec(_require(args, "y_spec", "--y")),
-                                      a, b, **unsafe)
+        verdict = verify_edge_removal(graph("x_spec", "--x"), graph("y_spec", "--y"), a, b, **unsafe)
     elif name == "self-slice":
         a, b = _parse_pair(_require(args, "pair", "--pair"), "--pair")
-        verdict = verify_self_equivalent_slice(parse_graph_spec(_require(args, "x_spec", "--x")),
-                                               parse_graph_spec(_require(args, "y_spec", "--y")),
-                                               a, b, **unsafe)
+        verdict = verify_self_equivalent_slice(graph("x_spec", "--x"), graph("y_spec", "--y"), a, b, **unsafe)
     elif name == "squish":
         a, b = _parse_pair(_require(args, "pair", "--pair"), "--pair")
-        verdict = verify_point_squish(parse_graph_spec(_require(args, "x_spec", "--x")),
-                                      parse_graph_spec(_require(args, "y_spec", "--y")),
-                                      a, b, **unsafe)
+        verdict = verify_point_squish(graph("x_spec", "--x"), graph("y_spec", "--y"), a, b, **unsafe)
     elif name == "path-identity":
-        verdict = verify_path_identity(parse_graph_spec(_require(args, "graph_spec", "--graph")),
-                                       truncation, **unsafe)
+        verdict = verify_path_identity(graph("graph_spec", "--graph"), truncation, **unsafe)
     elif name == "cycle-base":
         verdict = verify_cycle_base(_require(args, "n", "--n"), truncation, **unsafe)
     elif name == "cycle-identity":
-        verdict = verify_cycle_identity(parse_graph_spec(_require(args, "graph_spec", "--graph")),
-                                        truncation, **unsafe)
+        verdict = verify_cycle_identity(graph("graph_spec", "--graph"), truncation, **unsafe)
     elif name == "gen-eulerian":
-        verdict = verify_generalized_equals_odp(parse_graph_spec(_require(args, "graph_spec", "--graph")),
-                                                args.cyclic, **unsafe)
+        verdict = verify_generalized_equals_odp(graph("graph_spec", "--graph"), args.cyclic, **unsafe)
     else:  # pragma: no cover - argparse already constrains the choices
         raise UsageError(f"unknown theorem {name!r}")
 
@@ -320,6 +334,7 @@ def run_table(args) -> tuple[str, int]:
         else:
             if n < 2:
                 raise UsageError("cyclic-eulerian tables start at n=2")
+            check_bound("generalized Eulerian polynomial", n, bound)  # before tour(n) is built
             poly = generalized_eulerian_poly(tour(n), cyclic=True, bound=bound)
             width = n
         writer.writerow([poly[m] for m in range(width)])

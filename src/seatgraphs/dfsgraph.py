@@ -13,25 +13,31 @@ some pinned positions to fixed values: an assignment slice sigma(i) = j
 pins one position, an edge slice pins (a, b) to each non-loop Y-edge in
 turn.  The kernel has two ways to take that sum:
 
-* A frontier walk assigns the free positions one at a time.  A placed
-  position is *live* while it has an X-edge to a position not yet
-  placed.  A walk state is the set of used values plus the values at
-  the live positions, and it carries the packed polynomial of the
-  partial assignments that reach it.  Placing position i at value v
-  adds mult_X(i->j) * mult_Y(v->sigma(j)) + mult_X(j->i) * mult_Y(sigma(j)->v)
-  over the placed neighbours j.  After kf of the F free positions, lf
-  of them live, a level holds exactly comb(F, kf) * perm(kf, lf)
-  states, so the cost of a walk order is known before it runs and
-  follows the vertex separation (pathwidth) of the walked graph in that
-  order.
+* A frontier walk assigns the free positions one at a time.  A walk
+  state is the set of used values plus the pending table: for every
+  unplaced position i and every unused value w, what placing w at i
+  would add to the outdegree against the positions already placed
+  (pins included), that is mult_X(i->j) * mult_Y(w->sigma(j)) +
+  mult_X(j->i) * mult_Y(sigma(j)->w) summed over the placed neighbours
+  j.  A state carries the packed polynomial of the partial assignments
+  that reach it, and two of them with equal tables have equal futures,
+  so they merge.  Placing a position reads its row of the table and
+  adds its contributions to the rows of its unplaced neighbours.  The
+  table is a function of the values at the *live* positions (placed
+  ones with an X-edge to a position not yet placed), so after kf of the
+  F free positions, lf of them live, a level holds at most
+  comb(F, kf) * perm(kf, lf) states.  That bound prices a walk order
+  before it runs and follows the vertex separation (pathwidth) of the
+  walked graph in that order; the table merges far below it when Y
+  gives many values the same row, as on graphs dense on both sides.
 * A stream permutes the free values and tests every edge: F! times the
   edge count.
 
 ODP(X, Y) = ODP(Y, X) through sigma -> sigma^-1, which turns the pin
 sigma(i) = j into sigma^-1(j) = i.  So the walk may run over either
 graph: the kernel prices the label order and a greedy fewest-live order
-on both sides by the state-count formula and takes the cheapest.  A walk
-whose level would exceed a fixed state cap is split instead: of the
+on both sides by the state-count bound and takes the cheapest.  A walk
+whose level could exceed a fixed state cap is split instead: of the
 positions live at that level, the one that stays live longest is pinned
 to each free value in turn and every part is walked.  A level with no
 live position holds only subsets of the values and is never split.  The
@@ -54,24 +60,27 @@ from .limits import MATERIALIZE_BOUND, ODP_BOUND, check_bound
 from .permutations import Perm, enumerate_perms, swap_positions, validate_perm, word
 from .polynomials import Polynomial
 
-# Most states one level of a frontier walk may hold; a larger level is
-# split by pinning a position live at it (a level with no live position
-# holds bare subsets, which no pin would merge).  It bounds memory, and
-# trades time for it only at n >= 10.  Measured on a 2-vCPU host, Python
-# 3.11: the dense random n=9 pairs of the benchmark raised a process's
-# peak RSS by about 0.37 MB at 4096 and 0.42 MB at 8192 (from 17.3 MB),
-# at equal speed; odp(Path_12, Tour_12) took 0.65 s and 17.3 MB peak at
-# 4096 against 0.13 s and 18.2 MB at 8192, and 2.9 s at 2048.
-_STATE_CAP = 4096
+# Most states the priced bound of one walk level may reach; a larger
+# level is split by pinning a position live at it (a level with no live
+# position holds bare subsets, which no pin would merge).  It bounds
+# memory.  Measured on a 2-vCPU host, Python 3.11, on the benchmark's odp
+# workload: at 8192 the dense random n=9 pairs split twice and the
+# worker's peak RSS is 17.6 MB on seeds 1-5; at 16384 seed 2's pairs split
+# once, reach a real level of 5 560 states and 18.4 MB, for 0.16 s less
+# wall time.  odp(Path_12, Tour_12) takes 0.29 s at 4096 and 0.07-0.10 s
+# from 8192.
+_STATE_CAP = 8192
 
-# Price of one walk step (one state scanning one free value) in stream
+# Price of one walk step (one state scanning one unused value) in stream
 # steps (one permutation testing one edge).  Measured on one 2-vCPU host,
-# Python 3.11: a walk step took 350-440 ns on narrow walks (Tour/Cycle,
-# Path/Tour at n=7..9) and 350-520 ns on dense random n=9 pairs; a stream
-# step took 95-120 ns, so the break-even ratio was 3.2-4.3 and 4.4-7.1.
-# At 5, each of the benchmark's random pairs for seeds 1-8 whose walk
-# lost to the stream is streamed.
-_WALK_COST = 5
+# Python 3.11: a priced walk step took 350-630 ns on the dense random n=9
+# pairs of seeds 1-8 (levels far below their bound) and 430-850 ns on
+# Tour/Cycle, Path/Tour and Cycle/Cycle at n=8-9; a stream step took
+# 70-120 ns.  Break-even was 3.6-6.5 at n=7-9 and 6-11 at n=5, where the
+# walk's unpriced set-up dominates.  At 8, a sum at n=5 on a path streams
+# without planning a walk, and every benchmark-shaped dense n=9 pair of
+# seeds 1-40 walks (its price is at least 13 times below the stream's).
+_WALK_COST = 8
 
 
 class DfsEdgeWitness(NamedTuple):
@@ -135,9 +144,8 @@ class _Plan(NamedTuple):
     ``pin`` to each free value in turn and walks every part by
     ``part``."""
 
-    cost: int  # walk steps, every part included
+    cost: int  # priced walk steps, every part included
     order: list[int]  # free positions in walk order
-    last: dict[int, int]  # free position -> step of its last free neighbour
     pin: int | None = None
     part: _Plan | None = None
 
@@ -155,8 +163,9 @@ def _choose(X: Digraph, Y: Digraph, pinned: dict[int, int]) -> tuple[_Plan | Non
     sides = ((xm, ym, pinned), (ym, xm, {v: i for i, v in pinned.items()}))
     # a permutation costs about one edge test more than its edges
     stream = factorial(free) * (min(len(xm), len(ym)) + 1)
-    # any walk scans every proper subset of the free values at least once
-    if stream > _WALK_COST * free * (2**free - 1):
+    # any walk reaches every subset of the free values and scans the
+    # values it leaves unused
+    if stream > _WALK_COST * free * 2 ** (free - 1):
         plan, side = min(((_plan(n, side[0], set(side[2])), side) for side in sides),
                          key=lambda planned: planned[0].cost)
         if _WALK_COST * plan.cost < stream:
@@ -166,7 +175,7 @@ def _choose(X: Digraph, Y: Digraph, pinned: dict[int, int]) -> tuple[_Plan | Non
 
 def _run(n: int, walked: dict, other: dict, pins: dict[int, int], plan: _Plan, width: int) -> int:
     if plan.part is None:
-        return _walk(n, walked, other, pins, plan.order, plan.last, width)
+        return _walk(n, walked, other, pins, plan.order, width)
     return sum(_run(n, walked, other, {**pins, plan.pin: v}, plan.part, width)
                for v in range(1, n + 1) if v not in pins.values())
 
@@ -188,10 +197,10 @@ def _plan(n: int, walked: dict, pinned: set[int]) -> _Plan:
     # values: pinning would multiply the walk and merge nothing
     live = [p for p in order if any(step[p] <= t < last[p] for t in over)]
     if not live:
-        return _Plan(cost, order, last)
+        return _Plan(cost, order)
     pin = max(live, key=lambda p: last[p] - step[p])
     part = _plan(n, walked, pinned | {pin})
-    return _Plan(len(order) * part.cost, order, last, pin, part)
+    return _Plan(len(order) * part.cost, order, pin, part)
 
 
 def _greedy_order(nbrs: dict[int, set[int]]) -> list[int]:
@@ -219,10 +228,11 @@ def _greedy_order(nbrs: dict[int, set[int]]) -> list[int]:
 
 
 def _price(nbrs: dict[int, set[int]], order: list[int]) -> tuple[int, list[int], list[int], dict[int, int]]:
-    """Walk steps and level sizes of walking ``order``, exactly: after
-    kf of the F free positions, lf of them live, a level holds
-    comb(F, kf) * perm(kf, lf) states, and each state scans all F free
-    values.  ``levels[t]`` is the size after placing ``order[t]``."""
+    """Walk steps and level sizes of walking ``order``, as upper bounds:
+    after kf of the F free positions, lf of them live, a level holds at
+    most comb(F, kf) * perm(kf, lf) states, and each state scans its
+    F - kf unused values.  ``levels[t]`` bounds the size after placing
+    ``order[t]``."""
     free = len(order)
     step = {p: t for t, p in enumerate(order)}
     last = {}
@@ -233,7 +243,7 @@ def _price(nbrs: dict[int, set[int]], order: list[int]) -> tuple[int, list[int],
             deaths[end] += 1
     cost, levels, live = 0, [], 0
     for t, p in enumerate(order):
-        cost += comb(free, t) * perm(t, live) * free
+        cost += comb(free, t) * perm(t, live) * (free - t)
         live += (last[p] > t) - deaths[t]
         levels.append(comb(free, t + 1) * perm(t + 1, live))
     return cost, levels, order, last
@@ -260,68 +270,87 @@ def _stream(n: int, walked: dict, other: dict, pins: dict[int, int], width: int)
     return sum(c << (d * width) for d, c in counts.items())
 
 
-def _walk(n: int, walked: dict, other: dict, pins: dict[int, int], order: list[int],
-          last: dict[int, int], width: int) -> int:
+def _walk(n: int, walked: dict, other: dict, pins: dict[int, int], order: list[int], width: int) -> int:
     """Place the free positions in ``order``.  A state key packs the used
-    values as a bit mask over the free values, then the value of each live
-    position in a register of n.bit_length() bits; its entry is the packed
-    polynomial of the partial assignments that reach it."""
+    values as a bit mask over the free values, then the pending table: a
+    row of fields for every position with a pinned neighbour or one placed
+    before it, where field k holds what placing the k-th free value there
+    would add to the outdegree against the positions already placed.  Its
+    entry is the packed polynomial of the partial assignments that reach
+    it; two of them with equal keys have equal futures."""
     values = [v for v in range(1, n + 1) if v not in pins.values()]
-    bits = [1 << k for k in range(len(values))]
-    reg_bits = n.bit_length()
-    low = (1 << reg_bits) - 1
-    reg: dict[int, int] = {}
-    spare: list[int] = []
-    top = len(values)
+    free = len(values)
+    full = (1 << free) - 1
+    step = {p: t for t, p in enumerate(order)}
+    # ties[i][j] = (mult_X(i -> j), mult_X(j -> i))
+    ties: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in range(1, n + 1)}
+    for (i, j), m in walked.items():
+        ties[i][j] = (m, walked.get((j, i), 0))
+        ties[j][i] = (walked.get((j, i), 0), m)
+    # row i: (offset of its first field, bits per field), wide enough for
+    # the largest sum the row can reach.  The last position placed gets
+    # the lowest row, so keys shorten as rows clear.
+    most = max(other.values(), default=0)
+    rows: dict[int, tuple[int, int]] = {}
+    top = free
+    for i in reversed(order):
+        reach = most * sum(a + b for j, (a, b) in ties[i].items() if j in pins or step[j] < step[i])
+        if reach:
+            rows[i] = (top, reach.bit_length())
+            top += free * reach.bit_length()
+    grid = [[0] * (n + 1) for _ in range(n + 1)]
+    for (u, v), m in other.items():
+        grid[u][v] = m
+    packed: dict[int, tuple[list[int], list[int]]] = {}
+    for bits in {bits for _, bits in rows.values()}:
+        # against a neighbour at value v, field k of a row gets
+        # a * mult_Y(values[k] -> v) + b * mult_Y(v -> values[k])
+        packed[bits] = ([sum(grid[u][v] << k * bits for k, u in enumerate(values)) for v in range(n + 1)],
+                        [sum(grid[v][u] << k * bits for k, u in enumerate(values)) for v in range(n + 1)])
 
-    def weight(i: int, j: int, v: int, u: int) -> int:
-        # X-edges i -> j and j -> i with sigma(i) = v, sigma(j) = u
-        return walked.get((i, j), 0) * other.get((v, u), 0) + walked.get((j, i), 0) * other.get((u, v), 0)
+    def row(i: int, j: int, v: int) -> int:
+        """Row i's fields against position j at value v."""
+        at, bits = rows[i]
+        (a, b), (into, out) = ties[i][j], packed[bits]
+        return (a * into[v] + b * out[v]) << at
 
+    cols = [sum(((1 << bits) - 1) << (at + k * bits) for at, bits in rows.values()) for k in range(free)]
     start = sum(m * other.get((pins[a], pins[b]), 0) for (a, b), m in walked.items() if a in pins and b in pins)
-    cur = {0: 1 << (start * width)}
-    for t, i in enumerate(order):
-        # the shift that placing value values[k] at i applies to the
-        # polynomial sits in field k of one packed int, so the neighbours'
-        # parts add as ints; fields are wide enough for any sum
-        earlier = [j for j in order[:t] if (i, j) in walked or (j, i) in walked]
-        fixed = [sum(weight(i, j, v, u) for j, u in pins.items()) for v in values]
-        grids = [[[weight(i, j, v, u) for v in values] for u in range(n + 1)] for j in earlier]
-        field = (width * (max(fixed) + sum(max(map(max, grid)) for grid in grids))).bit_length()
-        offsets = [k * field for k in range(len(values))]
-        mask = (1 << field) - 1
-
-        def pack(incs: list[int]) -> int:
-            return sum(width * inc << off for inc, off in zip(incs, offsets))
-
-        base = pack(fixed)
-        tables = [(reg[j], [pack(row) for row in grid]) for j, grid in zip(earlier, grids)]
-        clear = 0
-        for j in earlier:
-            if last[j] == t:
-                clear |= low << reg[j]
-                spare.append(reg[j])
-        keep = ~clear
-        if last[i] > t:
-            if spare:
-                reg[i] = spare.pop()
-            else:
-                reg[i], top = top, top + reg_bits
-            adds = [b | (v << reg[i]) for b, v in zip(bits, values)]
-        else:
-            adds = bits
+    key = sum(row(i, j, v) for i in rows for j, v in pins.items() if j in ties[i])
+    cur = {key: 1 << (start * width)}
+    for t, p in enumerate(order):
+        at, bits = rows.get(p, (0, 0))
+        mask = (1 << bits) - 1
+        gone = ((1 << free * bits) - 1) << at
+        later = [i for i in ties[p] if i in rows and step[i] > t]
+        steps = [(1 << k, at + k * bits, (1 << k) + sum(row(i, p, v) for i in later), ~(gone | cols[k]))
+                 for k, v in enumerate(values)]
+        # the moves out of each set of used values: the field that prices
+        # placing p at a free value, the add, and the mask that clears p's
+        # row and the new value's column, and the used values' columns when
+        # p's adds reach them
+        moves: dict[int, list[tuple[int, int, int, int]]] = {}
         nxt: dict[int, int] = {}
         get = nxt.get
         while cur:
             key, poly = cur.popitem()
-            shifts = base
-            for r, table in tables:
-                shifts += table[(key >> r) & low]
-            kept = key & keep
-            for b, a, off in zip(bits, adds, offsets):
-                if not key & b:
-                    k = kept | a
-                    nxt[k] = get(k, 0) + (poly << ((shifts >> off) & mask))
+            used = key & full
+            scan = moves.get(used)
+            if scan is None:
+                if later:
+                    unused = ~sum(cols[k] for k in range(free) if used >> k & 1)
+                    scan = [(b, off, add, keep & unused) for b, off, add, keep in steps if not used & b]
+                else:
+                    scan = [move for move in steps if not used & move[0]]
+                moves[used] = scan
+            if bits:
+                for _, off, add, keep in scan:
+                    moved = (key + add) & keep
+                    nxt[moved] = get(moved, 0) + (poly << ((key >> off) & mask) * width)
+            else:  # p has no row: no placement of it adds anything
+                for _, _, add, keep in scan:
+                    moved = (key + add) & keep
+                    nxt[moved] = get(moved, 0) + poly
         cur = nxt
     return sum(cur.values())
 

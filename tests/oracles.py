@@ -69,6 +69,32 @@ def brute_assign_slice(n, x_edges, y_edges, i, j):
     return tuple(c.get(m, 0) for m in range(max(c) + 1))
 
 
+def brute_odp_and_slices(n, x_edges, y_edges, edge_pairs, assignments):
+    """ODP, edge slices and assignment slices in one pass over S_n, for
+    n where the pairwise ``brute_outdegree`` is too slow.  The outdegree
+    counts, per X-edge copy (a, b), the Y-edge copies equal to
+    (p[a], p[b]); an edge slice weights p by the copies of
+    (p[a], p[b]) in Y.  Returns (odp, {(a, b): slice}, {(i, j): slice})."""
+    copies = Counter(y_edges)
+    arcs = [(a - 1, b - 1) for a, b in x_edges if a != b]
+    whole, edge, assign = Counter(), {ab: Counter() for ab in edge_pairs}, {ij: Counter() for ij in assignments}
+    for p in permutations(range(1, n + 1)):
+        d = sum(copies[p[a], p[b]] for a, b in arcs)
+        whole[d] += 1
+        for (a, b), c in edge.items():
+            c[d] += copies[p[a - 1], p[b - 1]]
+        for (i, j), c in assign.items():
+            if p[i - 1] == j:
+                c[d] += 1
+
+    def coeffs(c):
+        c = +c
+        return tuple(c.get(m, 0) for m in range(max(c) + 1)) if c else ()
+
+    return (coeffs(whole), {ab: coeffs(c) for ab, c in edge.items()},
+            {ij: coeffs(c) for ij, c in assign.items()})
+
+
 def naive_series_prefix(coeffs, k, truncation):
     """Prefix of P(x) / (1-x)^k by k truncated convolutions with the
     all-ones geometric series (no binomial formula)."""

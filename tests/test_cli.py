@@ -1,10 +1,16 @@
+import contextlib
+import inspect
+import io
 import json
+import resource
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seatgraphs import cli
+from seatgraphs import cli, identities
 
 
 def run_cli(*args, env=None):
@@ -127,6 +133,55 @@ class TestBounds:
         r = run_cli(*argv)
         assert r.returncode in codes
         assert ("bound" in r.stderr) == (codes == {3})
+
+
+def run_cli_in_1gb(*args):
+    """run_cli with the address space capped at 1 GB, so that a spec built
+    before its bound check fails fast instead of exhausting memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "seatgraphs", *args],
+                          capture_output=True, text=True, preexec_fn=cap, timeout=60)
+
+
+class TestBoundBeforeBuilding:
+    # each spec declares tens of millions of vertices; building the graph
+    # first dies of MemoryError (exit 4) under the cap, or is OOM-killed
+    # without it
+    @pytest.mark.parametrize("argv", [
+        ("odp", '{"n":99999999,"edges":[]}', "path:3"),
+        ("odp", "tour:99999999", "path:3"),
+        ("odp", "path:3", "cycle:99999999", "--slice", "edge:2,1"),
+        ("dfs", '{"n":50000000,"edges":[]}', "path:3"),
+        ("verify", "path-identity", "--graph", "tour:99999999"),
+        ("verify", "automorphism", "--x", "path:3", "--y", '{"n":99999999,"edges":[]}'),
+        ("table", "cyclic-eulerian", "--n", "99999999"),
+    ], ids=["odp-json", "odp-family", "odp-slice", "dfs-json", "verify-family", "verify-json", "table"])
+    def test_oversized_spec_exits_3(self, argv):
+        r = run_cli_in_1gb(*argv)
+        assert r.returncode == 3
+        assert "bound" in r.stderr and "Traceback" not in r.stderr
+
+    def test_oversized_file_spec_exits_3(self, tmp_path):
+        spec = tmp_path / "big.json"
+        spec.write_text('{"n":99999999,"edges":[]}')
+        r = run_cli_in_1gb("odp", str(spec), "path:3")
+        assert r.returncode == 3
+
+    def test_theorem_bounds_are_the_verifiers_defaults(self):
+        verifiers = {
+            "automorphism": identities.verify_automorphism,
+            "acyclic": identities.verify_acyclic_potential,
+            "edge-removal": identities.verify_edge_removal,
+            "self-slice": identities.verify_self_equivalent_slice,
+            "squish": identities.verify_point_squish,
+            "path-identity": identities.verify_path_identity,
+            "cycle-identity": identities.verify_cycle_identity,
+            "gen-eulerian": identities.verify_generalized_equals_odp,
+        }
+        assert cli.THEOREM_BOUNDS == {name: inspect.signature(fn).parameters["bound"].default
+                                      for name, fn in verifiers.items()}
 
 
 class TestVerify:
@@ -293,3 +348,72 @@ class TestInternalError:
         assert captured.out == ""
         assert captured.err == "seatgraphs: internal error: RuntimeError: kernel fault\n"
         assert "Traceback" not in captured.err
+
+
+# argv lists of every command with the options it takes, over graph
+# specs at n <= 5: families, JSON with labels in and out of range, and
+# malformed or junk specs; most pairs share n, so most lists reach a kernel
+_junk_specs = st.sampled_from(['{"n":3}', '{"n":', '{"n":"3","edges":[]}', '{"n":3,"edges":[[1]]}', "[]",
+                               '{"n":3,"labels":[1,2,9],"edges":[[1,9]]}', '{"n":-2,"edges":[]}', "bogus", "",
+                               "tour:"])
+
+
+def _specs(n):
+    labels = st.one_of(st.integers(1, n), st.integers(0, n + 1))
+    return st.one_of(
+        st.sampled_from(["tour", "path", "cycle"]).map(lambda family: f"{family}:{n}"),
+        st.lists(st.lists(labels, min_size=2, max_size=2), max_size=2 * n).map(
+            lambda edges: json.dumps({"n": n, "edges": edges})),
+        _junk_specs,
+    )
+
+
+def _argv(n):
+    small = st.integers(0, n + 1)
+    pair = st.one_of(st.builds("{},{}".format, small, small), st.sampled_from(["", "1", "a,b", "1,2,3"]))
+    spec = _specs(n)
+    count = st.integers(-1, min(n, 4)).map(str)
+
+    def command(*head, options=()):
+        """``head`` in order, then each of ``options`` or not."""
+        return st.tuples(st.tuples(*head), *[st.one_of(st.just(()), st.tuples(*option)) for option in options],
+                         st.sampled_from([(), ("--unsafe-bounds",)])).map(
+            lambda parts: [token for part in parts for token in part])
+
+    text = [st.just("--format"), st.sampled_from(["text", "json"])]
+    two = [st.just("--x"), spec, st.just("--y"), spec]
+    return st.one_of(
+        command(st.just("gen"), spec, options=[[st.just("--format"), st.sampled_from(["json", "dot"])]]),
+        command(st.just("odp"), spec, spec, options=[
+            [st.just("--slice"), st.builds("{}:{}".format, st.sampled_from(["edge", "assign", "x"]), pair)], text]),
+        command(st.just("dfs"), spec, spec, options=[[st.just("--format"), st.sampled_from(["json", "dot"])]]),
+        command(st.just("verify"), st.sampled_from(["automorphism", "acyclic"]), *two, options=[text]),
+        command(st.just("verify"), st.just("edge-removal"), *two, st.just("--edge"), pair, options=[text]),
+        command(st.just("verify"), st.sampled_from(["self-slice", "squish"]), *two, st.just("--pair"), pair,
+                options=[text]),
+        command(st.just("verify"), st.sampled_from(["path-identity", "cycle-identity"]), st.just("--graph"), spec,
+                options=[[st.just("--M"), count], text]),
+        command(st.just("verify"), st.just("gen-eulerian"), st.just("--graph"), spec,
+                options=[[st.just("--cyclic")], text]),
+        command(st.just("verify"), st.sampled_from(["cycle-base", "sweep"]), st.just("--n"), count,
+                options=[[st.just("--M"), count], [st.just("--identity"), st.sampled_from(["path", "cycle"])],
+                         [st.just("--format"), st.sampled_from(["text", "json", "csv"])]]),
+        command(st.just("table"), st.sampled_from(["eulerian", "cyclic-eulerian"]), st.just("--n"),
+                st.sampled_from([f"1..{n}", f"2..{n}", str(n), "4..2", "x"])),
+    )
+
+
+_argvs = st.one_of([_argv(n) for n in range(6)])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_argvs)
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

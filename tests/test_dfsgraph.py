@@ -111,6 +111,68 @@ def assert_kernel_matches_oracles():
             assert odp_assign_slice(x, y, i, j).coeffs == ref
 
 
+def dense_digraph(rng, n):
+    """A simple digraph on half of the n(n-1) ordered pairs, drawn
+    without replacement: the shape of the benchmark's random pairs."""
+    ordered = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    return Digraph.from_edges(n, sorted(rng.sample(ordered, len(ordered) // 2)))
+
+
+def dense_pairs():
+    """Seeded pairs dense on both sides at n = 7 and 8, in both orders."""
+    rng = random.Random(21)
+    out = []
+    for n in (7, 8):
+        x, y = dense_digraph(rng, n), dense_digraph(rng, n)
+        out += [(x, y), (y, x)]
+    return out
+
+
+@cache
+def dense_expectations():
+    """Oracle values for every dense pair, one pass over S_n each: (x, y,
+    odp, {(a, b): edge slice}, {(i, j): assignment slice})."""
+    rng = random.Random(22)
+    out = []
+    for x, y in dense_pairs():
+        n = x.n
+        edge_pairs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(2)]
+        assignments = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(2)]
+        out.append((x, y, *oracles.brute_odp_and_slices(n, pairs(x), pairs(y), edge_pairs, assignments)))
+    return out
+
+
+class TestDensePairs:
+    """Pairs dense on both sides walk on the pending table, whose states
+    merge far below the priced level sizes; each setting must still give
+    the oracle's sums."""
+
+    @pytest.mark.parametrize("walk_cost, cap", [
+        (dfsgraph._WALK_COST, dfsgraph._STATE_CAP), (0, dfsgraph._STATE_CAP), (dfsgraph._WALK_COST, 16),
+    ], ids=["defaults", "walk-cost-0", "cap-16"])
+    def test_match_oracles(self, monkeypatch, walk_cost, cap):
+        monkeypatch.setattr(dfsgraph, "_WALK_COST", walk_cost)
+        monkeypatch.setattr(dfsgraph, "_STATE_CAP", cap)
+        for x, y, whole, edge, assign in dense_expectations():
+            assert odp(x, y).coeffs == whole
+            for (a, b), ref in edge.items():
+                assert odp_edge_slice(x, y, a, b).coeffs == ref
+            for (i, j), ref in assign.items():
+                assert odp_assign_slice(x, y, i, j).coeffs == ref
+
+    def test_defaults_walk_them(self):
+        assert all(kernel_path(x, y, {}) != "stream" for x, y in dense_pairs())
+
+    def test_benchmark_shaped_n9_pair_walks(self):
+        # 36 of the 72 ordered pairs on each side: the stream would pay
+        # 9! permutations times 37 edge tests
+        rng = random.Random(23)
+        x, y = dense_digraph(rng, 9), dense_digraph(rng, 9)
+        assert len(pairs(x)) == len(pairs(y)) == 36
+        assert kernel_path(x, y, {}) != "stream"
+        assert kernel_path(y, x, {}) != "stream"
+
+
 class TestKernelPaths:
     def test_pairs_have_self_loops_parallel_and_antiparallel_edges(self):
         for side in (0, 1):
@@ -141,6 +203,15 @@ class TestKernelPaths:
         # states are bare subsets of the values: the comb(15, 7) = 6435
         # states of the widest level exceed the cap, yet no pin would
         # merge any of them
+        g = Digraph.from_edges(15, [])
+        plan, _ = dfsgraph._choose(g, g, {})
+        assert plan is not None and plan.pin is None
+        assert odp(g, g, bound=None) == Polynomial((factorial(15),))
+
+    def test_bare_subset_levels_over_the_cap_are_not_split(self, monkeypatch):
+        # the widest level of an edgeless n=15 walk, comb(15, 7) = 6435
+        # bare subsets, is over this cap
+        monkeypatch.setattr(dfsgraph, "_STATE_CAP", 4096)
         g = Digraph.from_edges(15, [])
         plan, _ = dfsgraph._choose(g, g, {})
         assert plan is not None and plan.pin is None
