@@ -39,7 +39,7 @@ from .identities import (
     verify_point_squish,
     verify_self_equivalent_slice,
 )
-from .limits import (DEFAULT_TRUNCATION, DFS_COMPARISON_BOUND, GEN_EULERIAN_BOUND, IDENTITY_BOUND,
+from .limits import (DEFAULT_TRUNCATION, DFS_COMPARISON_BOUND, GEN_BOUND, GEN_EULERIAN_BOUND, IDENTITY_BOUND,
                      MATERIALIZE_BOUND, ODP_BOUND, TABLE_BOUND, BoundExceededError, check_bound)
 from .polynomials import eulerian_poly, generalized_eulerian_poly
 
@@ -140,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("spec", help="tour:N | path:N | cycle:N | inline JSON | file")
     p_gen.add_argument("--format", choices=("json", "dot"), default="json")
     p_gen.add_argument("--output", "-o", default=None)
+    p_gen.add_argument("--unsafe-bounds", action="store_true")
 
     p_odp = sub.add_parser("odp", help="outdegree polynomial of a graph pair")
     p_odp.add_argument("x_spec")
@@ -230,7 +231,7 @@ def _sweep_csv(rows) -> str:
 
 
 def run_gen(args) -> tuple[str, int]:
-    graph = parse_graph_spec(args.spec)
+    graph = parse_graph_spec(args.spec, "graph construction", None if args.unsafe_bounds else GEN_BOUND)
     if args.format == "dot":
         return graph.to_dot(), 0
     return graph.to_json() + "\n", 0

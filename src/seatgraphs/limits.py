@@ -32,6 +32,10 @@ SWEEP_BOUND = 4
 # Series-identity verifiers
 IDENTITY_BOUND = 8
 
+# Vertices of a graph that `gen` builds and prints: tour:700 (244 650
+# edges, 2.4 MB of JSON) takes 1.1 s end to end on a 2-vCPU Xeon
+GEN_BOUND = 700
+
 # Default truncation order M for power-series prefix comparison
 DEFAULT_TRUNCATION = 16
 

@@ -178,3 +178,10 @@ def brute_chordal_labeling(n, edges):
         ):
             return rho
     return None
+
+
+def is_transitive(edges):
+    """Is the relation given by the (u, v) pairs ``edges`` transitively
+    closed: u -> v and v -> w always with u -> w?"""
+    present = set(edges)
+    return all((u, w) in present for u, v in present for v2, w in present if v == v2)

@@ -121,6 +121,8 @@ class TestBounds:
         # the Eulerian table is a recurrence and has no bound
         pytest.param(("table", "eulerian", "--n", "1..40"), {0}, id="table-eulerian"),
         pytest.param(("table", "cyclic-eulerian", "--n", "9"), {3}, id="table-cyclic-eulerian"),
+        pytest.param(("gen", "tour:701"), {3}, id="gen"),
+        pytest.param(("gen", "path:701", "--unsafe-bounds"), {0}, id="gen-unsafe"),
         pytest.param(("verify", "sweep", "--n", "5", "--unsafe-bounds"), {0, 1}, id="sweep-unsafe"),
         pytest.param(("table", "eulerian", "--n", "9", "--unsafe-bounds"), {0}, id="table-eulerian-unsafe"),
         # the certificate search must honour --unsafe-bounds too
@@ -157,7 +159,10 @@ class TestBoundBeforeBuilding:
         ("verify", "path-identity", "--graph", "tour:99999999"),
         ("verify", "automorphism", "--x", "path:3", "--y", '{"n":99999999,"edges":[]}'),
         ("table", "cyclic-eulerian", "--n", "99999999"),
-    ], ids=["odp-json", "odp-family", "odp-slice", "dfs-json", "verify-family", "verify-json", "table"])
+        ("gen", "tour:20000"),
+        ("gen", '{"n":99999999,"edges":[]}'),
+    ], ids=["odp-json", "odp-family", "odp-slice", "dfs-json", "verify-family", "verify-json", "table",
+            "gen-family", "gen-json"])
     def test_oversized_spec_exits_3(self, argv):
         r = run_cli_in_1gb(*argv)
         assert r.returncode == 3

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from seatgraphs import identities
 from seatgraphs.chromatic import enumerate_labeled_acyclic, is_peo
 from seatgraphs.digraph import Digraph, cycle, path, tour
 from seatgraphs.dfsgraph import odp, odp_edge_slice
@@ -360,3 +361,44 @@ class TestSweep:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             sweep_identity(3, 10, which="banana")
+
+    # the sweep verifies one row per directed-isomorphism class and copies
+    # its verdict; every row must still read as its own verification would
+    @pytest.mark.parametrize("n, which", [(n, "path") for n in range(1, 6)] + [(n, "cycle") for n in range(2, 5)])
+    def test_every_row_matches_its_own_verification(self, n, which):
+        verifier = verify_path_identity if which == "path" else verify_cycle_identity
+        rows = sweep_identity(n, 12, which=which, bound=None)
+        graphs = list(enumerate_labeled_acyclic(n))
+        assert [r.graph_id for r in rows] == [graph_id for graph_id, _ in graphs]
+        for row, (_, x) in zip(rows, graphs):
+            verdict = verifier(x, 12, bound=None)
+            assert row.cert_x_chordal == verdict.certificates["x_chordal"]
+            assert row.cert_comp_chordal == verdict.certificates["complement_peo"] == is_peo(x.complement())
+            assert (row.identity, row.first_bad_m) == (verdict.holds, verdict.first_bad_m)
+
+    # directed-isomorphism classes of labeled acyclic graphs (OEIS A003087)
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 6), (4, 31), (5, 302)])
+    def test_one_verification_per_class(self, n, classes, monkeypatch):
+        verified = []
+        verify = identities.verify_path_identity
+        monkeypatch.setattr(identities, "verify_path_identity",
+                            lambda x, *args, **kwargs: verified.append(x) or verify(x, *args, **kwargs))
+        assert len(sweep_identity(n, 2, bound=None)) == 2 ** (n * (n - 1) // 2)
+        assert len(verified) == classes
+
+    # both identities hold exactly on the transitively closed X: the
+    # naturally labeled posets, 1, 2, 7, 40, 357 of them (OEIS A006455)
+    @pytest.mark.parametrize("which", ["path", "cycle"])
+    def test_identity_holds_exactly_when_x_is_transitive(self, which):
+        first = 1 if which == "path" else 2
+        holding = []
+        for n in range(first, 6):
+            rows = sweep_identity(n, which=which, bound=None)
+            for row in rows:
+                edges = [tuple(map(int, e.split(">"))) for e in row.edges.split()]
+                assert row.identity == oracles.is_transitive(edges), (n, row.edges)
+            holding.append(sum(row.identity for row in rows))
+            if n == 3:
+                # the smallest X the identities separate: a chain without its shortcut
+                assert [row.edges for row in rows if not row.identity] == ["2>1 3>2"]
+        assert holding == [1, 2, 7, 40, 357][first - 1:]
