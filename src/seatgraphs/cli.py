@@ -39,8 +39,7 @@ from .identities import (
     verify_point_squish,
     verify_self_equivalent_slice,
 )
-from .limits import (DEFAULT_TRUNCATION, DFS_COMPARISON_BOUND, GEN_BOUND, GEN_EULERIAN_BOUND, IDENTITY_BOUND,
-                     MATERIALIZE_BOUND, ODP_BOUND, TABLE_BOUND, BoundExceededError, check_bound)
+from .limits import DEFAULT_TRUNCATION, INPUT_BOUND, BoundExceededError
 from .polynomials import eulerian_poly, generalized_eulerian_poly
 
 _FAMILY_RE = re.compile(r"(tour|path|cycle):(\d+)")
@@ -59,32 +58,27 @@ THEOREMS = (
     "sweep",
 )
 
-# the bound on n each theorem's verifier applies (its default), checked
-# on every graph spec before the graph is built
-THEOREM_BOUNDS = {
-    "automorphism": DFS_COMPARISON_BOUND,
-    "acyclic": MATERIALIZE_BOUND,
-    "edge-removal": IDENTITY_BOUND,
-    "self-slice": IDENTITY_BOUND,
-    "squish": IDENTITY_BOUND,
-    "path-identity": IDENTITY_BOUND,
-    "cycle-identity": IDENTITY_BOUND,
-    "gen-eulerian": GEN_EULERIAN_BOUND,
-}
-
 
 class UsageError(Exception):
     pass
 
 
-def parse_graph_spec(spec: str, what: str = "graph", bound: int | None = None) -> Digraph:
-    """The graph a spec names.  ``n`` (the family suffix or the JSON
-    field) is checked against ``bound`` before anything of that size is
-    built, so an oversized spec exits 3 instead of exhausting memory."""
+def _check_input(argument: str, value: int, unsafe: bool) -> int:
+    """The input bound, the CLI's only bound: each size built from one
+    argument is checked here before anything of that size is built, so
+    an oversized argument exits 3 instead of exhausting memory.  Every
+    work bound belongs to the operation that does the work."""
+    if value > INPUT_BOUND and not unsafe:
+        raise BoundExceededError(f"{argument} is {value}, above the input bound {INPUT_BOUND}")
+    return value
+
+
+def parse_graph_spec(spec: str, unsafe: bool = False) -> Digraph:
+    """The graph a spec names, its ``n`` (the family suffix or the JSON
+    field) checked against the input bound first."""
     m = _FAMILY_RE.fullmatch(spec)
     if m:
-        n = int(m.group(2))
-        check_bound(what, n, bound)
+        n = _check_input("a graph spec's n", int(m.group(2)), unsafe)
         return _FAMILIES[m.group(1)](n)
     if spec.lstrip().startswith("{"):
         text, source = spec, ""
@@ -97,7 +91,7 @@ def parse_graph_spec(spec: str, what: str = "graph", bound: int | None = None) -
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid graph JSON{source}: {exc}") from exc
     if isinstance(obj, dict) and type(obj.get("n")) is int:
-        check_bound(what, obj["n"], bound)
+        _check_input("a graph spec's n", obj["n"], unsafe)
     return Digraph.from_json_obj(obj)
 
 
@@ -122,36 +116,41 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _default_truncation() -> int:
+def _truncation(args) -> int:
+    """``--M``, else ``SEATGRAPHS_M``, else the default."""
+    if args.truncation is not None:
+        return _check_input("--M", args.truncation, args.unsafe_bounds)
     raw = os.environ.get("SEATGRAPHS_M")
     if raw is None:
         return DEFAULT_TRUNCATION
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise UsageError(f"SEATGRAPHS_M must be an integer, got {raw!r}")
+    return _check_input("SEATGRAPHS_M", value, args.unsafe_bounds)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seatgraphs", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # options every command takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--output", "-o", default=None)
+    common.add_argument("--unsafe-bounds", action="store_true",
+                        help="lift the input bound and every work bound")
 
-    p_gen = sub.add_parser("gen", help="construct a graph and print it")
+    p_gen = sub.add_parser("gen", parents=[common], help="construct a graph and print it")
     p_gen.add_argument("spec", help="tour:N | path:N | cycle:N | inline JSON | file")
     p_gen.add_argument("--format", choices=("json", "dot"), default="json")
-    p_gen.add_argument("--output", "-o", default=None)
-    p_gen.add_argument("--unsafe-bounds", action="store_true")
 
-    p_odp = sub.add_parser("odp", help="outdegree polynomial of a graph pair")
+    p_odp = sub.add_parser("odp", parents=[common], help="outdegree polynomial of a graph pair")
     p_odp.add_argument("x_spec")
     p_odp.add_argument("y_spec")
     p_odp.add_argument("--slice", dest="slice_spec", default=None,
                        help="edge:a,b or assign:i,j")
     p_odp.add_argument("--format", choices=("text", "json"), default="text")
-    p_odp.add_argument("--output", "-o", default=None)
-    p_odp.add_argument("--unsafe-bounds", action="store_true")
 
-    p_ver = sub.add_parser("verify", help="verify one theorem or run the sweep")
+    p_ver = sub.add_parser("verify", parents=[common], help="verify one theorem or run the sweep")
     p_ver.add_argument("theorem", choices=THEOREMS)
     p_ver.add_argument("--x", dest="x_spec", default=None)
     p_ver.add_argument("--y", dest="y_spec", default=None)
@@ -164,21 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--identity", choices=("path", "cycle"), default="path",
                        help="which identity the sweep runs")
     p_ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_ver.add_argument("--output", "-o", default=None)
-    p_ver.add_argument("--unsafe-bounds", action="store_true")
 
-    p_tab = sub.add_parser("table", help="coefficient tables as CSV")
+    p_tab = sub.add_parser("table", parents=[common], help="coefficient tables as CSV")
     p_tab.add_argument("kind", choices=("eulerian", "cyclic-eulerian"))
     p_tab.add_argument("--n", required=True, help="range like 1..4 or a single n")
-    p_tab.add_argument("--output", "-o", default=None)
-    p_tab.add_argument("--unsafe-bounds", action="store_true")
 
-    p_dfs = sub.add_parser("dfs", help="materialize DFS(X, Y) and print it")
+    p_dfs = sub.add_parser("dfs", parents=[common], help="materialize DFS(X, Y) and print it")
     p_dfs.add_argument("x_spec")
     p_dfs.add_argument("y_spec")
     p_dfs.add_argument("--format", choices=("json", "dot"), default="json")
-    p_dfs.add_argument("--output", "-o", default=None)
-    p_dfs.add_argument("--unsafe-bounds", action="store_true")
 
     return parser
 
@@ -231,7 +224,7 @@ def _sweep_csv(rows) -> str:
 
 
 def run_gen(args) -> tuple[str, int]:
-    graph = parse_graph_spec(args.spec, "graph construction", None if args.unsafe_bounds else GEN_BOUND)
+    graph = parse_graph_spec(args.spec, args.unsafe_bounds)
     if args.format == "dot":
         return graph.to_dot(), 0
     return graph.to_json() + "\n", 0
@@ -239,10 +232,8 @@ def run_gen(args) -> tuple[str, int]:
 
 def run_odp(args) -> tuple[str, int]:
     kind, _, rest = (args.slice_spec or "").partition(":")
-    what = {"edge": "ODP edge slice", "assign": "ODP assignment slice"}.get(kind, "outdegree polynomial")
-    bound = None if args.unsafe_bounds else ODP_BOUND
-    X = parse_graph_spec(args.x_spec, what, bound)
-    Y = parse_graph_spec(args.y_spec, what, bound)
+    X = parse_graph_spec(args.x_spec, args.unsafe_bounds)
+    Y = parse_graph_spec(args.y_spec, args.unsafe_bounds)
     unsafe = _unsafe(args)
     if args.slice_spec is None:
         poly = odp(X, Y, **unsafe)
@@ -260,9 +251,8 @@ def run_odp(args) -> tuple[str, int]:
 
 
 def run_dfs(args) -> tuple[str, int]:
-    bound = None if args.unsafe_bounds else MATERIALIZE_BOUND
-    X = parse_graph_spec(args.x_spec, "DFS materialization", bound)
-    Y = parse_graph_spec(args.y_spec, "DFS materialization", bound)
+    X = parse_graph_spec(args.x_spec, args.unsafe_bounds)
+    Y = parse_graph_spec(args.y_spec, args.unsafe_bounds)
     dfs = materialize(X, Y, **_unsafe(args))
     if args.format == "dot":
         return dfs.to_dot(), 0
@@ -270,8 +260,10 @@ def run_dfs(args) -> tuple[str, int]:
 
 
 def run_verify(args) -> tuple[str, int]:
-    truncation = args.truncation if args.truncation is not None else _default_truncation()
+    truncation = _truncation(args)
     name = args.theorem
+    if args.format == "csv" and name != "sweep":
+        raise UsageError("csv output is only available for the sweep")
     unsafe = _unsafe(args)
 
     if name == "sweep":
@@ -284,10 +276,8 @@ def run_verify(args) -> tuple[str, int]:
             text = _sweep_csv(rows)
         return text, 0 if ok else 1
 
-    bound = None if args.unsafe_bounds else THEOREM_BOUNDS.get(name)
-
     def graph(attr: str, flag: str):
-        return parse_graph_spec(_require(args, attr, flag), f"{name} verification", bound)
+        return parse_graph_spec(_require(args, attr, flag), args.unsafe_bounds)
 
     if name == "automorphism":
         verdict = verify_automorphism(graph("x_spec", "--x"), graph("y_spec", "--y"), **unsafe)
@@ -313,8 +303,6 @@ def run_verify(args) -> tuple[str, int]:
     else:  # pragma: no cover - argparse already constrains the choices
         raise UsageError(f"unknown theorem {name!r}")
 
-    if args.format == "csv":
-        raise UsageError("csv output is only available for the sweep")
     if args.format == "json":
         text = verdict.to_json() + "\n"
     else:
@@ -324,21 +312,17 @@ def run_verify(args) -> tuple[str, int]:
 
 def run_table(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.n)
-    # only the cyclic table enumerates S_n; eulerian_poly is a recurrence
-    bound = None if args.unsafe_bounds else TABLE_BOUND
+    _check_input("the top of --n", hi, args.unsafe_bounds)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for n in range(lo, hi + 1):
         if args.kind == "eulerian":
             poly = eulerian_poly(n)
-            width = n
+        elif n < 2:
+            raise UsageError("cyclic-eulerian tables start at n=2")
         else:
-            if n < 2:
-                raise UsageError("cyclic-eulerian tables start at n=2")
-            check_bound("generalized Eulerian polynomial", n, bound)  # before tour(n) is built
-            poly = generalized_eulerian_poly(tour(n), cyclic=True, bound=bound)
-            width = n
-        writer.writerow([poly[m] for m in range(width)])
+            poly = generalized_eulerian_poly(tour(n), cyclic=True, **_unsafe(args))
+        writer.writerow([poly[m] for m in range(n)])
     return buf.getvalue(), 0
 
 

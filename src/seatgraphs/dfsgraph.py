@@ -68,7 +68,14 @@ from .polynomials import Polynomial
 # worker's peak RSS is 17.6 MB on seeds 1-5; at 16384 seed 2's pairs split
 # once, reach a real level of 5 560 states and 18.4 MB, for 0.16 s less
 # wall time.  odp(Path_12, Tour_12) takes 0.29 s at 4096 and 0.07-0.10 s
-# from 8192.
+# from 8192.  The split follows the priced level, not the real one, on
+# purpose: on those pairs (seeds 1-5, both orders) the table merges
+# levels priced at 181 440 to real levels of 23-54k states, and the pin
+# split's 72 parts peak at 750-1 000 states, 0.3-0.4 MB under
+# tracemalloc.  Splitting the real frontier into parts of 8192 states
+# once a level exceeds them visits 1.3-2.1x fewer states (0.01-0.17 s
+# less per pair) but first holds a level of 14-30k states, 6.8-10.2 MB:
+# far past a 5% rise in the worker's peak RSS.
 _STATE_CAP = 8192
 
 # Price of one walk step (one state scanning one unused value) in stream

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from .chromatic import chromatic_poly, enumerate_labeled_acyclic, find_chordal_labeling, is_peo
 from .digraph import Digraph, cycle, path, tour
 from .dfsgraph import materialize, odp, odp_assign_slice, odp_edge_slice, out_neighbors
-from .limits import (DEFAULT_TRUNCATION, DFS_COMPARISON_BOUND, GEN_EULERIAN_BOUND, IDENTITY_BOUND,
-                     MATERIALIZE_BOUND, SWEEP_BOUND, check_bound)
+from .limits import DEFAULT_TRUNCATION, IDENTITY_BOUND, MATERIALIZE_BOUND, ODP_BOUND, SWEEP_BOUND, check_bound
 from .permutations import enumerate_perms, inverse
 from .polynomials import ONE, X, Polynomial, SeriesPrefix, expand_over_one_minus_x
 
@@ -78,12 +77,11 @@ def _witness_multiplicities(dfs) -> dict:
 
 
 def verify_automorphism(
-    X_graph: Digraph, Y_graph: Digraph, bound: int | None = DFS_COMPARISON_BOUND
+    X_graph: Digraph, Y_graph: Digraph, bound: int | None = MATERIALIZE_BOUND
 ) -> Verdict:
     """Inversion is a multiplicity-preserving edge bijection between
     DFS(X, Y) and DFS(Y, X)."""
     n = X_graph.n
-    check_bound("automorphism check", n, bound)
     mult_left = _witness_multiplicities(materialize(X_graph, Y_graph, bound=bound))
     mult_right = _witness_multiplicities(materialize(Y_graph, X_graph, bound=bound))
     mapped = {(inverse(s), inverse(t)): m for (s, t), m in mult_left.items()}
@@ -114,7 +112,6 @@ def verify_acyclic_potential(
     if not (X_graph.is_labeled_acyclic() and Y_graph.is_labeled_acyclic()):
         raise ValueError("the acyclicity theorem requires labeled acyclic X and Y")
     n = X_graph.n
-    check_bound("acyclicity check", n, bound)
     dfs = materialize(X_graph, Y_graph, bound=bound)
 
     def f(p) -> int:
@@ -146,7 +143,7 @@ def verify_subgraph_monotonicity(
     X_big: Digraph,
     Y_small: Digraph,
     Y_big: Digraph,
-    bound: int | None = DFS_COMPARISON_BOUND,
+    bound: int | None = MATERIALIZE_BOUND,
 ) -> Verdict:
     """Multiset edge containment of X and Y lifts to witness containment
     of DFS(X, Y) in DFS(X', Y')."""
@@ -394,7 +391,7 @@ def verify_cycle_identity(
 
 
 def verify_generalized_equals_odp(
-    graph: Digraph, cyclic: bool, bound: int | None = GEN_EULERIAN_BOUND
+    graph: Digraph, cyclic: bool, bound: int | None = ODP_BOUND
 ) -> Verdict:
     """The generalized (cyclic) Eulerian polynomial of G equals the ODP
     of (Path_n or Cycle_n, X_G), where X_G orients every underlying edge
@@ -408,11 +405,11 @@ def verify_generalized_equals_odp(
     from .polynomials import generalized_eulerian_poly
 
     n = graph.n
-    check_bound("generalized Eulerian comparison", n, bound)
+    # the left side's enumeration checks the bound before it starts
+    lhs = generalized_eulerian_poly(graph, cyclic, bound=bound)
     oriented = Digraph.from_edges(
         n, ((hi, lo) for lo, hi in graph.undirected_edges() if lo != hi)
     )
-    lhs = generalized_eulerian_poly(graph, cyclic, bound=None)
     rhs = odp(cycle(n) if cyclic else path(n), oriented, bound=None)
     return _poly_verdict(lhs, rhs, f"{'cyclic ' if cyclic else ''}G-descent distribution over S_{n}",
                          f"G={graph.to_json()}, cyclic={cyclic}")

@@ -1,7 +1,7 @@
 import contextlib
-import inspect
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seatgraphs import cli, identities
+from seatgraphs import cli
 
 
 def run_cli(*args, env=None):
@@ -103,24 +103,28 @@ class TestOdp:
 
 
 class TestBounds:
-    # each bounded command at the first n it refuses, plus the cheap
-    # --unsafe-bounds rows; a sweep row may fail its identity (exit 1)
+    # each bounded command at the first n its operation refuses, plus the
+    # cheap --unsafe-bounds rows; a sweep row may fail its identity (exit 1)
     @pytest.mark.parametrize("argv, codes", [
         pytest.param(("odp", "tour:11", "path:11"), {3}, id="odp"),
         pytest.param(("odp", "tour:11", "path:11", "--slice", "edge:2,1"), {3}, id="odp-edge-slice"),
         pytest.param(("odp", "tour:11", "path:11", "--slice", "assign:1,1"), {3}, id="odp-assign-slice"),
         pytest.param(("dfs", "tour:8", "tour:8"), {3}, id="dfs"),
         pytest.param(("verify", "sweep", "--n", "5"), {3}, id="sweep"),
-        pytest.param(("verify", "automorphism", "--x", "tour:6", "--y", "tour:6"), {3}, id="automorphism"),
+        pytest.param(("verify", "automorphism", "--x", "tour:8", "--y", "tour:8"), {3}, id="automorphism"),
         pytest.param(("verify", "acyclic", "--x", "tour:8", "--y", "tour:8"), {3}, id="acyclic"),
         pytest.param(("verify", "edge-removal", "--x", "tour:9", "--y", "path:9", "--edge", "2,1"), {3},
                      id="edge-removal"),
+        pytest.param(("verify", "self-slice", "--x", "tour:9", "--y", "path:9", "--pair", "2,1"), {3},
+                     id="self-slice"),
+        pytest.param(("verify", "squish", "--x", "tour:9", "--y", "path:9", "--pair", "2,1"), {3}, id="squish"),
         pytest.param(("verify", "path-identity", "--graph", "tour:9"), {3}, id="path-identity"),
         pytest.param(("verify", "cycle-base", "--n", "9"), {3}, id="cycle-base"),
-        pytest.param(("verify", "gen-eulerian", "--graph", "tour:8"), {3}, id="gen-eulerian"),
+        pytest.param(("verify", "cycle-identity", "--graph", "tour:9"), {3}, id="cycle-identity"),
+        pytest.param(("verify", "gen-eulerian", "--graph", "tour:11"), {3}, id="gen-eulerian"),
         # the Eulerian table is a recurrence and has no bound
         pytest.param(("table", "eulerian", "--n", "1..40"), {0}, id="table-eulerian"),
-        pytest.param(("table", "cyclic-eulerian", "--n", "9"), {3}, id="table-cyclic-eulerian"),
+        pytest.param(("table", "cyclic-eulerian", "--n", "11"), {3}, id="table-cyclic-eulerian"),
         pytest.param(("gen", "tour:701"), {3}, id="gen"),
         pytest.param(("gen", "path:701", "--unsafe-bounds"), {0}, id="gen-unsafe"),
         pytest.param(("verify", "sweep", "--n", "5", "--unsafe-bounds"), {0, 1}, id="sweep-unsafe"),
@@ -137,14 +141,14 @@ class TestBounds:
         assert ("bound" in r.stderr) == (codes == {3})
 
 
-def run_cli_in_1gb(*args):
-    """run_cli with the address space capped at 1 GB, so that a spec built
-    before its bound check fails fast instead of exhausting memory."""
+def run_cli_in_1gb(*args, env=None):
+    """run_cli with the address space capped at 1 GB, so that an argument
+    built before its bound check fails fast instead of exhausting memory."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     return subprocess.run([sys.executable, "-m", "seatgraphs", *args],
-                          capture_output=True, text=True, preexec_fn=cap, timeout=60)
+                          capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60)
 
 
 class TestBoundBeforeBuilding:
@@ -174,19 +178,18 @@ class TestBoundBeforeBuilding:
         r = run_cli_in_1gb("odp", str(spec), "path:3")
         assert r.returncode == 3
 
-    def test_theorem_bounds_are_the_verifiers_defaults(self):
-        verifiers = {
-            "automorphism": identities.verify_automorphism,
-            "acyclic": identities.verify_acyclic_potential,
-            "edge-removal": identities.verify_edge_removal,
-            "self-slice": identities.verify_self_equivalent_slice,
-            "squish": identities.verify_point_squish,
-            "path-identity": identities.verify_path_identity,
-            "cycle-identity": identities.verify_cycle_identity,
-            "gen-eulerian": identities.verify_generalized_equals_odp,
-        }
-        assert cli.THEOREM_BOUNDS == {name: inspect.signature(fn).parameters["bound"].default
-                                      for name, fn in verifiers.items()}
+    # sizes that are not graphs: the truncation runs the series out to M
+    # terms, and a table builds a row per n; the message names the argument
+    @pytest.mark.parametrize("argv, env, argument", [
+        (("verify", "cycle-base", "--n", "3", "--M", "100000000"), {}, "--M"),
+        (("verify", "cycle-base", "--n", "3"), {"SEATGRAPHS_M": "100000000"}, "SEATGRAPHS_M"),
+        (("table", "eulerian", "--n", "100000"), {}, "--n"),
+    ], ids=["truncation-flag", "truncation-env", "table-eulerian"])
+    def test_oversized_argument_exits_3(self, argv, env, argument):
+        r = run_cli_in_1gb(*argv, env=dict(os.environ, **env))
+        assert r.returncode == 3
+        assert argument in r.stderr and "bound" in r.stderr
+        assert "n=" not in r.stderr and "Traceback" not in r.stderr
 
 
 class TestVerify:
@@ -252,11 +255,31 @@ class TestVerify:
         assert "certificate" in r.stderr
 
     def test_env_var_sets_default_truncation(self):
-        import os
-
         env = dict(os.environ, SEATGRAPHS_M="4")
         r = run_cli("verify", "cycle-base", "--n", "3", "--format", "json", env=env)
         assert json.loads(r.stdout)["checked_range"] == "prefix m=0..4 at n=3"
+
+
+    @pytest.mark.parametrize("argv", [
+        ("automorphism", "--x", "tour:3", "--y", "tour:3"),
+        ("acyclic", "--x", "tour:3", "--y", "tour:3"),
+        ("edge-removal", "--x", "tour:3", "--y", "path:3", "--edge", "3,1"),
+        ("self-slice", "--x", "tour:3", "--y", "path:3", "--pair", "2,1"),
+        ("squish", "--x", "tour:3", "--y", "path:3", "--pair", "2,1"),
+        ("path-identity", "--graph", "tour:3"),
+        ("cycle-base", "--n", "3"),
+        ("cycle-identity", "--graph", "tour:3"),
+        ("gen-eulerian", "--graph", "tour:10", "--cyclic", "--unsafe-bounds"),
+    ], ids=lambda argv: argv[0])
+    def test_csv_is_refused_before_the_verifier_runs(self, argv, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the verifier ran")
+
+        for attr in vars(cli):
+            if attr.startswith("verify_"):
+                monkeypatch.setattr(cli, attr, never)
+        assert cli.main(["verify", *argv, "--format", "csv"]) == 2
+        assert capsys.readouterr().err == "seatgraphs: error: csv output is only available for the sweep\n"
 
 
 class TestSweep:
