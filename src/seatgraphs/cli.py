@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .digraph import Digraph, cycle, path, tour
@@ -61,6 +62,21 @@ THEOREMS = (
 
 class UsageError(Exception):
     pass
+
+
+@contextmanager
+def _exact_digits():
+    """Format integers of any length.  Python's int-to-str digit limit
+    (3.10.7+) guards parsing untrusted input against quadratic time, so
+    it is lifted only around the formatting of exact results."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _check_input(argument: str, value: int, unsafe: bool) -> int:
@@ -322,7 +338,8 @@ def run_table(args) -> tuple[str, int]:
             raise UsageError("cyclic-eulerian tables start at n=2")
         else:
             poly = generalized_eulerian_poly(tour(n), cyclic=True, **_unsafe(args))
-        writer.writerow([poly[m] for m in range(n)])
+        with _exact_digits():
+            writer.writerow([poly[m] for m in range(n)])
     return buf.getvalue(), 0
 
 

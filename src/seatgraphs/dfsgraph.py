@@ -45,7 +45,11 @@ stream is the base case, taken whenever its price is lower, which is how
 small n (where n! beats any state table) and graphs wide on both sides
 are handled.
 
-``materialize`` exists for inspection and DOT/JSON export at small n.
+``materialize`` exists for inspection and DOT/JSON export at small n.  It
+pays for its output: n! vertices and one witness per edge (52 920 for
+Tour_7 against Tour_7).  What the edge rule reads, X's non-loop edges
+and Y's multiplicity grid, is built once per pair; every witness's
+target is the vertex object found through the index, not a copy.
 """
 from __future__ import annotations
 
@@ -112,13 +116,30 @@ def out_neighbors(X: Digraph, Y: Digraph, p: Perm) -> list[DfsEdgeWitness]:
     if len(p) != n:
         raise ValueError(f"permutation length {len(p)} does not match n={n}")
     validate_perm(p)
+    return _witnesses(p, *_witness_rule(X, Y))
+
+
+def _witness_rule(X: Digraph, Y: Digraph) -> tuple[list[tuple[int, int, int, int, int]], list[list[int]]]:
+    """What the edge rule reads, built once per pair: X's non-loop edges
+    as (a, b, a - 1, b - 1, mult_X(a->b)), and Y's multiplicities as an
+    (n+1)x(n+1) grid."""
+    arcs = [(a, b, a - 1, b - 1, m) for a, b, m in X.edge_counts if a != b]
+    grid = [[0] * (Y.n + 1) for _ in range(Y.n + 1)]
+    for u, v, m in Y.edge_counts:
+        grid[u][v] = m
+    return arcs, grid
+
+
+def _witnesses(p: Perm, arcs: list, grid: list[list[int]],
+               vertex: dict[Perm, Perm] | None = None) -> list[DfsEdgeWitness]:
+    """The witnesses out of p, unchecked.  A target is p with a and b
+    swapped, or, given ``vertex``, the equal permutation it holds."""
     out = []
-    for a, b, mx in X.edge_counts:
-        if a == b:
-            continue
-        my = Y.multiplicity(p[a - 1], p[b - 1])
+    for a, b, i, j, mx in arcs:
+        my = grid[p[i]][p[j]]
         if my:
-            out.append(DfsEdgeWitness(p, a, b, swap_positions(p, a, b), mx * my))
+            target = swap_positions(p, a, b)
+            out.append(DfsEdgeWitness(p, a, b, target if vertex is None else vertex[target], mx * my))
     return out
 
 
@@ -427,12 +448,11 @@ class MaterializedDfs:
             yield from row
 
     def is_acyclic(self) -> bool:
+        index = self.index
+        succ = [[index[w.target] for w in row] for row in self.adjacency]
         indeg = [0] * len(self.vertices)
-        succ: list[list[int]] = [[] for _ in self.vertices]
-        for i, row in enumerate(self.adjacency):
-            for w in row:
-                j = self.index_of(w.target)
-                succ[i].append(j)
+        for row in succ:
+            for j in row:
                 indeg[j] += 1
         queue = [i for i, d in enumerate(indeg) if d == 0]
         removed = 0
@@ -463,24 +483,32 @@ class MaterializedDfs:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        """``json.dumps(self.to_json_obj(), separators=(",", ":"))``,
+        formatted directly rather than through a dict per edge."""
+        index = self.index
+        edges = ",".join([f'{{"from":{i},"to":{index[t]},"a":{a},"b":{b},"mult":{m}}}'
+                          for i, row in enumerate(self.adjacency) for _, a, b, t, m in row])
+        vertices = json.dumps(self.vertices, separators=(",", ":"))
+        return f'{{"n":{self.n},"vertices":{vertices},"edges":[{edges}]}}'
 
     def to_dot(self) -> str:
+        words = {p: word(p) for p in self.vertices}
         lines = ["digraph {"]
-        for p in self.vertices:
-            lines.append(f'  "{word(p)}";')
+        lines += [f'  "{w}";' for w in words.values()]
         for row in self.adjacency:
             for w in row:
-                for _ in range(w.multiplicity):
-                    lines.append(f'  "{word(w.source)}" -> "{word(w.target)}";')
+                lines += [f'  "{words[w.source]}" -> "{words[w.target]}";'] * w.multiplicity
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
 def materialize(X: Digraph, Y: Digraph, bound: int | None = MATERIALIZE_BOUND) -> MaterializedDfs:
-    """Build the full DFS(X, Y) graph (n! vertices)."""
+    """Build the full DFS(X, Y) graph (n! vertices).  Every witness's
+    target is the vertex object itself."""
     n = _check_same_n(X, Y)
     check_bound("DFS materialization", n, bound)
     vertices = tuple(enumerate_perms(n, bound=None))
-    adjacency = tuple(tuple(out_neighbors(X, Y, p)) for p in vertices)
+    arcs, grid = _witness_rule(X, Y)
+    vertex = {p: p for p in vertices}
+    adjacency = tuple(tuple(_witnesses(p, arcs, grid, vertex)) for p in vertices)
     return MaterializedDfs(n, vertices, adjacency, {p: i for i, p in enumerate(vertices)})

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .chromatic import chromatic_poly, enumerate_labeled_acyclic, find_chordal_labeling, is_peo
 from .digraph import Digraph, cycle, path, tour
-from .dfsgraph import materialize, odp, odp_assign_slice, odp_edge_slice, out_neighbors
+from .dfsgraph import materialize, odp, odp_assign_slice, odp_edge_slice
 from .limits import DEFAULT_TRUNCATION, IDENTITY_BOUND, MATERIALIZE_BOUND, ODP_BOUND, SWEEP_BOUND, check_bound
-from .permutations import enumerate_perms, inverse
+from .permutations import inverse
 from .polynomials import ONE, X, Polynomial, SeriesPrefix, expand_over_one_minus_x
 
 
@@ -82,25 +82,24 @@ def verify_automorphism(
     """Inversion is a multiplicity-preserving edge bijection between
     DFS(X, Y) and DFS(Y, X)."""
     n = X_graph.n
-    mult_left = _witness_multiplicities(materialize(X_graph, Y_graph, bound=bound))
+    left = materialize(X_graph, Y_graph, bound=bound)
     mult_right = _witness_multiplicities(materialize(Y_graph, X_graph, bound=bound))
-    mapped = {(inverse(s), inverse(t)): m for (s, t), m in mult_left.items()}
+    inverted = {p: inverse(p) for p in left.vertices}
+    mapped = {(inverted[s], inverted[t]): m for (s, t), m in _witness_multiplicities(left).items()}
     rng = f"all {n}!x{n}! vertex pairs of DFS(X,Y) against DFS(Y,X)"
-    for key in sorted(set(mapped) | set(mult_right)):
-        a = mapped.get(key, 0)
-        b = mult_right.get(key, 0)
-        if a != b:
-            s, t = key
-            return Verdict(
-                False,
-                rng,
-                Counterexample(
-                    inputs=f"edge {_perm_str(s)} -> {_perm_str(t)}",
-                    lhs=f"multiplicity {a} mapped from DFS(X,Y)",
-                    rhs=f"multiplicity {b} in DFS(Y,X)",
-                ),
-            )
-    return Verdict(True, rng)
+    bad = [key for key in mapped.keys() | mult_right.keys() if mapped.get(key, 0) != mult_right.get(key, 0)]
+    if not bad:
+        return Verdict(True, rng)
+    s, t = key = min(bad)
+    return Verdict(
+        False,
+        rng,
+        Counterexample(
+            inputs=f"edge {_perm_str(s)} -> {_perm_str(t)}",
+            lhs=f"multiplicity {mapped.get(key, 0)} mapped from DFS(X,Y)",
+            rhs=f"multiplicity {mult_right.get(key, 0)} in DFS(Y,X)",
+        ),
+    )
 
 
 def verify_acyclic_potential(
@@ -113,22 +112,22 @@ def verify_acyclic_potential(
         raise ValueError("the acyclicity theorem requires labeled acyclic X and Y")
     n = X_graph.n
     dfs = materialize(X_graph, Y_graph, bound=bound)
-
-    def f(p) -> int:
-        return sum(i * v for i, v in enumerate(p, start=1))
-
+    # once per vertex; an edge compares its two ends by index
+    f = [sum(i * v for i, v in enumerate(p, start=1)) for p in dfs.vertices]
     rng = f"all edges of DFS(X,Y) at n={n}"
-    for w in dfs.edges():
-        if not f(w.source) > f(w.target):
-            return Verdict(
-                False,
-                rng,
-                Counterexample(
-                    inputs=f"edge {_perm_str(w.source)} -> {_perm_str(w.target)}",
-                    lhs=f"f(source)={f(w.source)}",
-                    rhs=f"f(target)={f(w.target)}",
-                ),
-            )
+    for i, row in enumerate(dfs.adjacency):
+        for w in row:
+            j = dfs.index[w.target]
+            if not f[i] > f[j]:
+                return Verdict(
+                    False,
+                    rng,
+                    Counterexample(
+                        inputs=f"edge {_perm_str(w.source)} -> {_perm_str(w.target)}",
+                        lhs=f"f(source)={f[i]}",
+                        rhs=f"f(target)={f[j]}",
+                    ),
+                )
     if not dfs.is_acyclic():
         return Verdict(
             False,
@@ -155,10 +154,12 @@ def verify_subgraph_monotonicity(
                 raise ValueError(f"{name} is not a sub-multigraph of {name}'")
     n = X_small.n
     check_bound("subgraph monotonicity check", n, bound)
+    big = materialize(X_big, Y_big, bound=None)
+    small = materialize(X_small, Y_small, bound=None)
     rng = f"all witnesses of DFS(X,Y) at n={n}"
-    for p in enumerate_perms(n, bound=None):
-        big_witnesses = {(w.a, w.b): w.multiplicity for w in out_neighbors(X_big, Y_big, p)}
-        for w in out_neighbors(X_small, Y_small, p):
+    for p, small_row, big_row in zip(small.vertices, small.adjacency, big.adjacency):
+        big_witnesses = {(w.a, w.b): w.multiplicity for w in big_row}
+        for w in small_row:
             if big_witnesses.get((w.a, w.b), 0) < w.multiplicity:
                 return Verdict(
                     False,

@@ -38,6 +38,30 @@ def brute_outdegree(n, x_edges, y_edges, p):
     )
 
 
+def brute_dfs_witnesses(n, x_edges, y_edges):
+    """DFS(X, Y) straight from the four-condition rule: sigma -> tau
+    through (a, b) when a -> b is an X-edge with a != b, sigma(a) ->
+    sigma(b) is a Y-edge, tau(a) = sigma(b) and tau(b) = sigma(a), and
+    tau agrees with sigma everywhere else.  The multiplicity counts
+    (X-edge copy, Y-edge copy) pairs.  One tuple of (sigma, a, b, tau,
+    multiplicity) per sigma, sigmas in lexicographic order, each tuple in
+    (a, b) order."""
+    out = []
+    for sigma in permutations(range(1, n + 1)):
+        found = Counter()
+        for a, b in x_edges:
+            for u, v in y_edges:
+                if a != b and (sigma[a - 1], sigma[b - 1]) == (u, v):
+                    found[a, b] += 1
+        row = []
+        for a, b in sorted(found):
+            tau = tuple(sigma[b - 1] if i == a else sigma[a - 1] if i == b else sigma[i - 1]
+                        for i in range(1, n + 1))
+            row.append((sigma, a, b, tau, found[a, b]))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def brute_odp(n, x_edges, y_edges):
     """ODP coefficient tuple via full enumeration of S_n."""
     c = Counter(

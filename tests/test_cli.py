@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seatgraphs import cli
+from seatgraphs.polynomials import Polynomial
 
 
 def run_cli(*args, env=None):
@@ -319,6 +320,24 @@ class TestTable:
     def test_bad_range_is_usage_error(self):
         r = run_cli("table", "eulerian", "--n", "4..2")
         assert r.returncode == 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int-to-str limit")
+class TestIntToStrLimit:
+    def test_table_prints_a_coefficient_past_the_limit(self, monkeypatch, capsys):
+        limit = sys.get_int_max_str_digits()
+        # 5 000 digits: 1, 4 998 zeros, 7; built and checked without str()
+        monkeypatch.setattr(cli, "eulerian_poly", lambda n: Polynomial((10 ** 4999 + 7,)))
+        assert cli.main(["table", "eulerian", "--n", "1"]) == 0
+        assert capsys.readouterr().out == "1" + "0" * 4998 + "7\n"
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_graph_json_input_keeps_the_limit(self, capsys):
+        # without the limit this n would parse and exit 3 on the input bound
+        spec = '{"n":' + "1" * 5000 + ',"edges":[]}'
+        assert cli.main(["gen", spec]) == 2
+        assert "limit" in capsys.readouterr().err
 
 
 class TestDfsExport:

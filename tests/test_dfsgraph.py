@@ -1,3 +1,4 @@
+import json
 import random
 from functools import cache
 from math import factorial
@@ -461,3 +462,48 @@ class TestMaterialize:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
             materialize(tour(8), path(8))
+
+
+def family_pairs():
+    """Every (X, Y) of tour, path and cycle at n = 2..5."""
+    return [(f(n), g(n)) for n in range(2, 6) for f in (tour, path, cycle) for g in (tour, path, cycle)]
+
+
+# a pair with self-loops on both sides and parallel edges, so that some
+# witnesses carry multiplicity 2 and 4
+MULTI_X = Digraph.from_edges(3, [(2, 1), (2, 1), (1, 3), (3, 3)])
+MULTI_Y = Digraph.from_edges(3, [(1, 2), (3, 2), (3, 2), (2, 3), (1, 1)])
+
+
+class TestMaterializedWitnesses:
+    def test_adjacency_matches_oracle(self):
+        for x, y in kernel_pairs() + family_pairs():
+            assert materialize(x, y).adjacency == oracles.brute_dfs_witnesses(x.n, pairs(x), pairs(y))
+
+    def test_witness_ends_are_the_vertex_objects(self):
+        for x, y in kernel_pairs() + family_pairs():
+            dfs = materialize(x, y)
+            for p, row in zip(dfs.vertices, dfs.adjacency):
+                for w in row:
+                    assert w.source is p
+                    assert w.target is dfs.vertices[dfs.index[w.target]]
+
+    def test_json_is_the_encoded_object(self):
+        for x, y in kernel_pairs() + family_pairs():
+            dfs = materialize(x, y)
+            assert dfs.to_json() == json.dumps(dfs.to_json_obj(), separators=(",", ":"))
+
+    def test_dot_tour_cycle_3(self):
+        assert materialize(tour(3), cycle(3)).to_dot() == (
+            'digraph {\n  "123";\n  "132";\n  "213";\n  "231";\n  "312";\n  "321";\n'
+            '  "123" -> "321";\n  "132" -> "312";\n  "132" -> "123";\n  "213" -> "123";\n'
+            '  "213" -> "231";\n  "231" -> "132";\n  "312" -> "213";\n  "321" -> "231";\n'
+            '  "321" -> "312";\n}\n'
+        )
+
+    def test_dot_repeats_an_edge_by_its_multiplicity(self):
+        assert materialize(MULTI_X, MULTI_Y).to_dot() == (
+            'digraph {\n  "123";\n  "132";\n  "213";\n  "231";\n  "312";\n  "321";\n'
+            '  "132" -> "231";\n  "213" -> "312";\n' + '  "213" -> "123";\n' * 2
+            + '  "231" -> "321";\n' * 4 + '  "312" -> "213";\n' * 2 + '  "321" -> "231";\n' * 2 + '}\n'
+        )

@@ -5,7 +5,7 @@ import pytest
 from seatgraphs import identities
 from seatgraphs.chromatic import enumerate_labeled_acyclic, is_peo
 from seatgraphs.digraph import Digraph, cycle, path, tour
-from seatgraphs.dfsgraph import odp, odp_edge_slice
+from seatgraphs.dfsgraph import MaterializedDfs, materialize, odp, odp_edge_slice
 from seatgraphs.identities import (
     Verdict,
     sweep_identity,
@@ -69,6 +69,24 @@ class TestAutomorphism:
         for _ in range(40):
             assert verify_automorphism(random_digraph(4, rng), random_digraph(4, rng)).holds
 
+    def test_first_mismatched_edge_is_named(self, monkeypatch):
+        # DFS(Path_3, Tour_3) with the witness 213 -> 123 dropped and
+        # 321 -> 312 tripled: two edges disagree, and the smaller is named
+        def tampered(x, y, bound):
+            dfs = materialize(x, y, bound=bound)
+            if x != path(3):
+                return dfs
+            rows = tuple(tuple(w._replace(multiplicity=3) if (w.source, w.target) == ((3, 2, 1), (3, 1, 2)) else w
+                               for w in row if (w.source, w.target) != ((2, 1, 3), (1, 2, 3)))
+                         for row in dfs.adjacency)
+            return MaterializedDfs(dfs.n, dfs.vertices, rows, dfs.index)
+
+        monkeypatch.setattr(identities, "materialize", tampered)
+        verdict = verify_automorphism(tour(3), path(3))
+        assert not verdict.holds
+        assert verdict.counterexample == identities.Counterexample(
+            "edge 2,1,3 -> 1,2,3", "multiplicity 1 mapped from DFS(X,Y)", "multiplicity 0 in DFS(Y,X)")
+
 
 class TestAcyclicPotential:
     def test_tournaments(self):
@@ -87,6 +105,24 @@ class TestAcyclicPotential:
         for x in graphs:
             for y in graphs:
                 assert verify_acyclic_potential(x, y).holds
+
+    def test_potential_rising_along_an_edge_fails(self, monkeypatch):
+        # reverse the witness 123 -> 213 of DFS(Tour_3, Tour_3) into the
+        # row of 213: the potential rises along it and nowhere else, and
+        # the graph stays acyclic, so only the edge comparison can see it
+        dfs = materialize(tour(3), tour(3))
+        src, dst = dfs.index[(1, 2, 3)], dfs.index[(2, 1, 3)]
+        (w,) = [w for w in dfs.adjacency[src] if w.target == (2, 1, 3)]
+        adjacency = list(dfs.adjacency)
+        adjacency[src] = tuple(v for v in adjacency[src] if v is not w)
+        adjacency[dst] += (w._replace(source=w.target, target=w.source),)
+        reversed_dfs = MaterializedDfs(dfs.n, dfs.vertices, tuple(adjacency), dfs.index)
+        assert reversed_dfs.is_acyclic()
+        monkeypatch.setattr(identities, "materialize", lambda x, y, bound: reversed_dfs)
+        verdict = verify_acyclic_potential(tour(3), tour(3))
+        assert not verdict.holds
+        assert verdict.counterexample.inputs == "edge 2,1,3 -> 1,2,3"
+        assert (verdict.counterexample.lhs, verdict.counterexample.rhs) == ("f(source)=13", "f(target)=14")
 
 
 class TestSubgraphMonotonicity:
