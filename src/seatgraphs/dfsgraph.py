@@ -48,20 +48,26 @@ are handled.
 ``materialize`` exists for inspection and DOT/JSON export at small n.  It
 pays for its output: n! vertices and one witness per edge (52 920 for
 Tour_7 against Tour_7).  What the edge rule reads, X's non-loop edges
-and Y's multiplicity grid, is built once per pair; every witness's
-target is the vertex object found through the index, not a copy.
+and Y's multiplicity grid, is built once per pair, and each X-edge
+carries an ``itemgetter`` that swaps its two positions.  Every witness's
+target is the vertex object found through the index, not a copy, and
+each witness is built by ``tuple.__new__``.  ``MaterializedDfs`` finds
+each target's index once, for the acyclicity test and the potential
+check to share.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from math import comb, factorial, perm
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .digraph import Digraph
 from .limits import MATERIALIZE_BOUND, ODP_BOUND, check_bound
-from .permutations import Perm, enumerate_perms, swap_positions, validate_perm, word
+from .permutations import Perm, enumerate_perms, validate_perm, word
 from .polynomials import Polynomial
 
 # Most states the priced bound of one walk level may reach; a larger
@@ -119,11 +125,18 @@ def out_neighbors(X: Digraph, Y: Digraph, p: Perm) -> list[DfsEdgeWitness]:
     return _witnesses(p, *_witness_rule(X, Y))
 
 
-def _witness_rule(X: Digraph, Y: Digraph) -> tuple[list[tuple[int, int, int, int, int]], list[list[int]]]:
+def _witness_rule(X: Digraph, Y: Digraph) -> tuple[list[tuple[int, int, int, int, int, itemgetter]], list[list[int]]]:
     """What the edge rule reads, built once per pair: X's non-loop edges
-    as (a, b, a - 1, b - 1, mult_X(a->b)), and Y's multiplicities as an
-    (n+1)x(n+1) grid."""
-    arcs = [(a, b, a - 1, b - 1, m) for a, b, m in X.edge_counts if a != b]
+    as (a, b, a - 1, b - 1, mult_X(a->b), swap), where swap(p) is p with
+    positions a and b swapped, and Y's multiplicities as an (n+1)x(n+1)
+    grid.  A non-loop edge means n >= 2, so swap returns a tuple."""
+    n = X.n
+    arcs = []
+    for a, b, m in X.edge_counts:
+        if a != b:
+            order = list(range(n))
+            order[a - 1], order[b - 1] = b - 1, a - 1
+            arcs.append((a, b, a - 1, b - 1, m, itemgetter(*order)))
     grid = [[0] * (Y.n + 1) for _ in range(Y.n + 1)]
     for u, v, m in Y.edge_counts:
         grid[u][v] = m
@@ -133,13 +146,16 @@ def _witness_rule(X: Digraph, Y: Digraph) -> tuple[list[tuple[int, int, int, int
 def _witnesses(p: Perm, arcs: list, grid: list[list[int]],
                vertex: dict[Perm, Perm] | None = None) -> list[DfsEdgeWitness]:
     """The witnesses out of p, unchecked.  A target is p with a and b
-    swapped, or, given ``vertex``, the equal permutation it holds."""
+    swapped, or, given ``vertex``, the equal permutation it holds.  Each
+    witness is built by ``tuple.__new__``, which skips the NamedTuple's
+    Python-level ``__new__`` and yields the same DfsEdgeWitness."""
     out = []
-    for a, b, i, j, mx in arcs:
+    new = tuple.__new__
+    for a, b, i, j, mx, swap in arcs:
         my = grid[p[i]][p[j]]
         if my:
-            target = swap_positions(p, a, b)
-            out.append(DfsEdgeWitness(p, a, b, target if vertex is None else vertex[target], mx * my))
+            target = swap(p)
+            out.append(new(DfsEdgeWitness, (p, a, b, target if vertex is None else vertex[target], mx * my)))
     return out
 
 
@@ -447,9 +463,16 @@ class MaterializedDfs:
         for row in self.adjacency:
             yield from row
 
-    def is_acyclic(self) -> bool:
+    @cached_property
+    def target_indices(self) -> tuple[tuple[int, ...], ...]:
+        """``target_indices[i][k]`` is the index of the target of
+        ``adjacency[i][k]``; derived from ``adjacency`` and ``index``, so a
+        hand-built graph gets them right too, and computed once."""
         index = self.index
-        succ = [[index[w.target] for w in row] for row in self.adjacency]
+        return tuple([tuple([index[w.target] for w in row]) for row in self.adjacency])
+
+    def is_acyclic(self) -> bool:
+        succ = self.target_indices
         indeg = [0] * len(self.vertices)
         for row in succ:
             for j in row:

@@ -90,9 +90,9 @@ class Digraph:
     def n(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def is_standard(self) -> bool:
-        """True when the labels are exactly ``1..n``."""
+        """True when the labels are exactly ``1..n``; decided once per graph."""
         return self.labels == tuple(range(1, self.n + 1))
 
     def multiplicity(self, u: int, v: int) -> int:
@@ -116,14 +116,21 @@ class Digraph:
         """Underlying undirected edge set as ``(lo, hi)`` pairs.
 
         Direction and multiplicity are forgotten; antiparallel pairs
-        merge.  Self-loops survive as ``(v, v)``.  Built once per graph:
-        the G-descent statistics look it up once per permutation.
+        merge.  Self-loops survive as ``(v, v)``.  Built once per graph.
         """
         return self._undirected
 
     @cached_property
     def _undirected(self) -> frozenset[tuple[int, int]]:
         return frozenset((min(u, v), max(u, v)) for u, v, _ in self.edge_counts)
+
+    @cached_property
+    def descending_pairs(self) -> frozenset[tuple[int, int]]:
+        """Underlying edges as ``(hi, lo)`` pairs, the adjacent values a
+        G-descent steps down between.  Self-loops are dropped; parallel
+        and antiparallel edges merge.  Built once per graph: the G-descent
+        statistics look it up once per adjacent pair of every permutation."""
+        return frozenset((max(u, v), min(u, v)) for u, v, _ in self.edge_counts if u != v)
 
     # -- predicates ----------------------------------------------------
 

@@ -115,9 +115,8 @@ def verify_acyclic_potential(
     # once per vertex; an edge compares its two ends by index
     f = [sum(i * v for i, v in enumerate(p, start=1)) for p in dfs.vertices]
     rng = f"all edges of DFS(X,Y) at n={n}"
-    for i, row in enumerate(dfs.adjacency):
-        for w in row:
-            j = dfs.index[w.target]
+    for i, (row, targets) in enumerate(zip(dfs.adjacency, dfs.target_indices)):
+        for w, j in zip(row, targets):
             if not f[i] > f[j]:
                 return Verdict(
                     False,

@@ -4,6 +4,12 @@ Permutations are plain tuples in one-line notation, 1-indexed to match
 the rest of the package: ``p[i-1]`` is the image of position ``i``.
 Enumeration is lexicographic so that streams and reports are
 reproducible.
+
+The G-descent statistics are called once per permutation of S_n by
+``generalized_eulerian_poly``, so each is one pass over the adjacent
+pairs of p, looked up in the reference graph's cached set of descending
+``(hi, lo)`` value pairs.  The graph's labels must be exactly 1..n, since
+the values of p are read as its labels; that is decided once per graph.
 """
 from __future__ import annotations
 
@@ -39,27 +45,27 @@ def excedance_count(p: Perm) -> int:
     return sum(v > i for i, v in enumerate(p, start=1))
 
 
-def _g_descents(q: Perm, adjacent: frozenset[tuple[int, int]]) -> int:
-    # descents of consecutive values of q whose (lo, hi) pair is an
-    # underlying edge; a self-loop (v, v) never matches a descent
-    return sum(1 for a, b in zip(q, q[1:]) if a > b and (b, a) in adjacent)
+def check_g_graph(graph: Digraph, n: int) -> None:
+    """G-descents of a permutation of 1..n read its values as the labels
+    of ``graph``, so the graph must be on exactly those labels."""
+    if n != graph.n:
+        raise ValueError(f"permutation length {n} does not match graph on {graph.n} vertices")
+    if not graph.is_standard:
+        raise ValueError("G-descents are defined for graphs labeled exactly 1..n")
 
 
 def g_descent_count(p: Perm, graph: Digraph) -> int:
     """Descents whose two values are adjacent in the reference graph."""
-    if len(p) != graph.n:
-        raise ValueError(f"permutation length {len(p)} does not match graph on {graph.n} vertices")
-    return _g_descents(p, graph.undirected_edges())
+    check_g_graph(graph, len(p))
+    return sum(map(graph.descending_pairs.__contains__, zip(p, p[1:])))
 
 
 def g_cyclic_descent_count(p: Perm, graph: Digraph) -> int:
     """G-descents with indices read modulo n (the wrap p(n) > p(1) counts)."""
-    n = len(p)
-    if n != graph.n:
-        raise ValueError(f"permutation length {n} does not match graph on {graph.n} vertices")
-    if n < 2:
+    check_g_graph(graph, len(p))
+    if len(p) < 2:
         raise ValueError("cyclic descents require n >= 2")
-    return _g_descents(p + p[:1], graph.undirected_edges())
+    return sum(map(graph.descending_pairs.__contains__, zip(p, p[1:] + p[:1])))
 
 
 def inverse(p: Perm) -> Perm:

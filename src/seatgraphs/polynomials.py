@@ -8,13 +8,15 @@ already guarantees.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 
 from .digraph import Digraph
 from .limits import ODP_BOUND, check_bound
-from .permutations import enumerate_perms, g_cyclic_descent_count, g_descent_count
+from .permutations import check_g_graph, enumerate_perms, g_cyclic_descent_count, g_descent_count
 
 
 def _strip(coeffs) -> tuple[int, ...]:
@@ -199,12 +201,11 @@ def eulerian_poly(n: int) -> Polynomial:
 
 
 def generalized_eulerian_poly(graph: Digraph, cyclic: bool, bound: int | None = ODP_BOUND) -> Polynomial:
-    """Sum of x^(G-descents) over S_n; cyclic counts descents mod n."""
+    """Sum of x^(G-descents) over S_n; cyclic counts descents mod n.  The
+    public statistic is called once per permutation."""
     n = graph.n
     check_bound("generalized Eulerian polynomial", n, bound)
+    check_g_graph(graph, n)
     stat = g_cyclic_descent_count if cyclic else g_descent_count
-    counts: dict[int, int] = {}
-    for p in enumerate_perms(n, bound=None):
-        d = stat(p, graph)
-        counts[d] = counts.get(d, 0) + 1
-    return Polynomial(tuple(counts.get(m, 0) for m in range(max(counts) + 1)))
+    counts = Counter(map(stat, enumerate_perms(n, bound=None), repeat(graph)))
+    return Polynomial(tuple(counts[m] for m in range(max(counts) + 1)))

@@ -8,6 +8,8 @@ import pytest
 from seatgraphs import dfsgraph
 from seatgraphs.digraph import Digraph, cycle, path, tour
 from seatgraphs.dfsgraph import (
+    DfsEdgeWitness,
+    MaterializedDfs,
     materialize,
     odp,
     odp_assign_slice,
@@ -507,3 +509,41 @@ class TestMaterializedWitnesses:
             '  "132" -> "231";\n  "213" -> "312";\n' + '  "213" -> "123";\n' * 2
             + '  "231" -> "321";\n' * 4 + '  "312" -> "213";\n' * 2 + '  "321" -> "231";\n' * 2 + '}\n'
         )
+
+    def test_witnesses_are_real_named_tuples(self):
+        # witnesses are built with tuple.__new__: each must still be a
+        # full DfsEdgeWitness, at n = 2 and on a pair whose X has a
+        # self-loop and a parallel edge
+        for x, y in [(tour(2), cycle(2)), (cycle(2), cycle(2)), (MULTI_X, MULTI_Y)]:
+            witnesses = list(materialize(x, y).edges())
+            assert witnesses
+            for w in witnesses:
+                assert type(w) is DfsEdgeWitness
+                assert w._fields == ("source", "a", "b", "target", "multiplicity")
+                assert w == DfsEdgeWitness(w.source, w.a, w.b, w.target, w.multiplicity)
+                assert w._replace(multiplicity=0) == DfsEdgeWitness(*w[:4], 0)
+                assert w._asdict()["target"] == w.target
+
+    def test_out_neighbors_equal_the_materialized_rows(self):
+        for x, y in kernel_pairs() + family_pairs() + random_pairs() + [(MULTI_X, MULTI_Y)]:
+            if x.n > 4:
+                continue
+            dfs = materialize(x, y)
+            for p, row in zip(dfs.vertices, dfs.adjacency):
+                assert tuple(out_neighbors(x, y, p)) == row
+
+    def test_target_indices_are_the_index_of_each_target(self):
+        for x, y in kernel_pairs() + family_pairs():
+            dfs = materialize(x, y)
+            assert dfs.target_indices == tuple(tuple(dfs.index[w.target] for w in row) for row in dfs.adjacency)
+
+    def test_target_indices_of_a_hand_built_graph(self):
+        # the same graph with its vertices listed in reverse: the indices
+        # follow the new index, not the order materialize produced
+        dfs = materialize(MULTI_X, MULTI_Y)
+        vertices = dfs.vertices[::-1]
+        rebuilt = MaterializedDfs(dfs.n, vertices, dfs.adjacency[::-1], {p: i for i, p in enumerate(vertices)})
+        last = len(vertices) - 1
+        assert rebuilt.target_indices == tuple(tuple(last - j for j in row) for row in dfs.target_indices[::-1])
+        assert any(row for row in rebuilt.target_indices)
+        assert rebuilt.is_acyclic() == dfs.is_acyclic()

@@ -150,6 +150,14 @@ class TestPredicates:
     def test_self_loop_counts_as_cycle(self):
         assert not Digraph.from_edges(2, [(1, 1)]).is_acyclic()
 
+    def test_descending_pairs_drop_loops_and_merge_copies(self):
+        g = Digraph.from_edges(3, [(1, 3), (3, 1), (1, 3), (2, 2), (2, 1)])
+        assert g.descending_pairs == {(3, 1), (2, 1)}
+
+    def test_is_standard(self):
+        assert tour(3).is_standard
+        assert not Digraph.from_edges([2, 3, 7], [(3, 2)]).is_standard
+
     def test_labeled_acyclic_implies_acyclic_exhaustive_n3(self):
         edge_pool = [(u, v) for u in range(1, 4) for v in range(1, 4) if u != v]
         for mask in range(1 << 6):

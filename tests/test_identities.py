@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from seatgraphs import identities
+from seatgraphs import identities, polynomials
 from seatgraphs.chromatic import enumerate_labeled_acyclic, is_peo
 from seatgraphs.digraph import Digraph, cycle, path, tour
-from seatgraphs.dfsgraph import MaterializedDfs, materialize, odp, odp_edge_slice
+from seatgraphs.dfsgraph import MaterializedDfs, materialize, odp, odp_assign_slice, odp_edge_slice
 from seatgraphs.identities import (
     Verdict,
     sweep_identity,
@@ -360,6 +360,29 @@ class TestGeneralizedEqualsOdp:
         up = Digraph.from_edges(4, [(1, 3), (2, 4)])
         assert verify_generalized_equals_odp(up, cyclic=False).holds
         assert verify_generalized_equals_odp(up, cyclic=True).holds
+
+    def test_labels_other_than_1_to_n_rejected_before_enumeration(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("S_n was enumerated")
+
+        monkeypatch.setattr(polynomials, "enumerate_perms", no_enumeration)
+        g = Digraph.from_edges([2, 3, 7], [(3, 2), (7, 3)])
+        for cyclic in (False, True):
+            with pytest.raises(ValueError, match="labeled exactly 1..n"):
+                verify_generalized_equals_odp(g, cyclic)
+
+
+class TestRotationInvariance:
+    def test_cycle_odp_is_n_times_any_assignment_slice(self):
+        # composing sigma with the rotation v -> v + 1 of Cycle_n's labels
+        # keeps every outdegree and moves the pin sigma(i) = j to
+        # sigma(i) = j + 1, so the n slices at i are equal and sum to ODP
+        for n in range(2, 5):
+            for _, x in enumerate_labeled_acyclic(n):
+                whole = odp(x, cycle(n))
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        assert whole == n * odp_assign_slice(x, cycle(n), i, j)
 
 
 class TestSweep:

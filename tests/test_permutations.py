@@ -102,6 +102,14 @@ class TestGraphDescents:
         with pytest.raises(ValueError):
             g_descent_count((1, 2, 3), tour(4))
 
+    def test_labels_other_than_1_to_n_rejected(self):
+        # values of a permutation are labels 1..n: read against labels
+        # {2, 3, 7}, (3, 2, 1) would count the descent 3 > 2
+        g = Digraph.from_edges([2, 3, 7], [(3, 2), (7, 3)])
+        for stat in (g_descent_count, g_cyclic_descent_count):
+            with pytest.raises(ValueError, match="labeled exactly 1..n"):
+                stat((3, 2, 1), g)
+
 
 class TestCyclicDescents:
     def test_complete_s3_distribution(self):

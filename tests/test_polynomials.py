@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from seatgraphs import polynomials
 from seatgraphs.digraph import Digraph, tour
 from seatgraphs.polynomials import (
     ONE,
@@ -162,3 +164,27 @@ class TestGeneralizedEulerian:
         adj = {frozenset((1, 3)), frozenset((2, 4)), frozenset((1, 2))}
         assert generalized_eulerian_poly(g, cyclic=False).coeffs == oracles.g_descent_distribution(4, adj)
         assert generalized_eulerian_poly(g, cyclic=True).coeffs == oracles.g_descent_distribution(4, adj, cyclic=True)
+
+    def test_matches_oracle_on_multigraphs(self):
+        # seeded multigraphs with self-loops, parallel and antiparallel
+        # edges: a loop is never a descent, and copies count once
+        rng = random.Random(5)
+        graphs = [Digraph.from_edges(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(3 * n)])
+                  for n in range(2, 6) for _ in range(4)]
+        assert any(m > 1 for g in graphs for _, _, m in g.edge_counts)
+        assert any(u != v and g.multiplicity(v, u) for g in graphs for u, v, _ in g.edge_counts)
+        assert any(u == v for g in graphs for u, v, _ in g.edge_counts)
+        for g in graphs:
+            adj = {frozenset((u, v)) for u, v in g.edges()}
+            for cyclic in (False, True):
+                assert generalized_eulerian_poly(g, cyclic).coeffs == oracles.g_descent_distribution(g.n, adj, cyclic)
+
+    def test_labels_other_than_1_to_n_rejected_before_enumeration(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("S_n was enumerated")
+
+        monkeypatch.setattr(polynomials, "enumerate_perms", no_enumeration)
+        g = Digraph.from_edges([2, 3, 7], [(3, 2), (7, 3)])
+        for cyclic in (False, True):
+            with pytest.raises(ValueError, match="labeled exactly 1..n"):
+                generalized_eulerian_poly(g, cyclic)
