@@ -76,8 +76,7 @@ def chromatic_poly(graph: Digraph) -> Polynomial:
     edges = graph.undirected_edges()
     if any(u == v for u, v in edges):
         return Polynomial(())
-    rank = {v: i for i, v in enumerate(graph.labels)}
-    return _chi(graph.n, frozenset((rank[u], rank[v]) for u, v in edges))
+    return _chi(graph.n, frozenset((u - 1, v - 1) for u, v in edges))
 
 
 def is_peo(graph: Digraph) -> bool:
@@ -93,8 +92,6 @@ def is_peo(graph: Digraph) -> bool:
         raise ValueError("perfect elimination orderings are defined for labeled acyclic graphs")
     if not graph.is_simple():
         raise ValueError("perfect elimination orderings are defined for simple graphs")
-    if not graph.is_standard:
-        raise ValueError("perfect elimination orderings are defined on labels 1..n")
     closed = {v: 1 << v for v in graph.labels}
     for j, i, _ in graph.edge_counts:
         closed[i] |= 1 << j
@@ -131,8 +128,6 @@ def find_chordal_labeling(graph: Digraph, bound: int | None = RELABEL_SEARCH_BOU
         raise ValueError("chordal labelings are defined for acyclic graphs")
     if not graph.is_simple():
         raise ValueError("chordal labelings are defined for simple graphs")
-    if not graph.is_standard:
-        raise ValueError("chordal labelings are searched on labels 1..n")
     n = graph.n
     check_bound("chordal labeling search", n, bound)
     # vertices are 0-based; label l is bit l, and bits 0 and n + 1 are
@@ -272,8 +267,6 @@ def chordal_sequence(graph: Digraph) -> ChordalSequence:
         raise ValueError("chordal sequences are defined for labeled acyclic graphs")
     if not graph.is_simple():
         raise ValueError("chordal sequences are defined for simple graphs")
-    if not graph.is_standard:
-        raise ValueError("chordal sequences are defined on labels 1..n")
     comp = graph.complement()
     if not is_peo(comp) and find_chordal_labeling(comp) is None:
         raise ValueError("hypothesis failure: complement of X is not directed chordal")

@@ -111,8 +111,6 @@ class DfsEdgeWitness(NamedTuple):
 def _check_same_n(X: Digraph, Y: Digraph) -> int:
     if X.n != Y.n:
         raise ValueError(f"X has {X.n} vertices but Y has {Y.n}")
-    if not (X.is_standard and Y.is_standard):
-        raise ValueError("DFS graphs are defined for graphs labeled exactly 1..n")
     return X.n
 
 
@@ -530,7 +528,7 @@ def materialize(X: Digraph, Y: Digraph, bound: int | None = MATERIALIZE_BOUND) -
     target is the vertex object itself."""
     n = _check_same_n(X, Y)
     check_bound("DFS materialization", n, bound)
-    vertices = tuple(enumerate_perms(n, bound=None))
+    vertices = tuple(enumerate_perms(n))
     arcs, grid = _witness_rule(X, Y)
     vertex = {p: p for p in vertices}
     adjacency = tuple(tuple(_witnesses(p, arcs, grid, vertex)) for p in vertices)

@@ -1,8 +1,9 @@
 """Labeled directed multigraphs and the constructions performed on them.
 
-A :class:`Digraph` lives on a tuple of distinct positive integer labels
-(usually exactly ``1..n``), stores its edges as a multiset, and is
-immutable: every operation returns a new graph.  Edge iteration order is
+A :class:`Digraph` lives on the vertices ``1..n``, which are both the
+positions and the values of a permutation in S_n.  It stores its edges
+as a multiset and is immutable: every operation returns a new graph,
+again on ``1..m`` for its own vertex count m.  Edge iteration order is
 lexicographic in ``(source, target)`` so that all downstream output is
 reproducible.
 """
@@ -31,30 +32,26 @@ def _coerce_kind(kind: EquivalenceKind | str) -> EquivalenceKind:
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable directed multigraph.
+    """Immutable directed multigraph on the vertices ``1..n``.
 
-    ``labels`` is a strictly increasing tuple of positive integers and
-    ``edge_counts`` a tuple of ``(source, target, multiplicity)`` triples
-    sorted by ``(source, target)``.  Two graphs are equal iff they have
-    the same labels and every ordered pair has the same multiplicity.
+    ``edge_counts`` is a tuple of ``(source, target, multiplicity)``
+    triples sorted by ``(source, target)``.  Two graphs are equal iff
+    they have the same n and every ordered pair has the same
+    multiplicity.
     """
 
-    labels: tuple[int, ...]
+    n: int
     edge_counts: tuple[tuple[int, int, int], ...]
     _mult: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.labels:
-            raise ValueError("a digraph needs at least one vertex")
-        if any(v < 1 for v in self.labels):
-            raise ValueError("vertex labels must be positive integers")
-        if any(a >= b for a, b in zip(self.labels, self.labels[1:])):
-            raise ValueError("vertex labels must be strictly increasing")
-        label_set = set(self.labels)
+        n = self.n
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
         seen: set[tuple[int, int]] = set()
         for u, v, m in self.edge_counts:
-            if u not in label_set or v not in label_set:
-                raise ValueError(f"edge {u}->{v} has an endpoint outside the vertex set")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge {u}->{v} has an endpoint outside the vertex set 1..{n}")
             if m < 1:
                 raise ValueError(f"edge {u}->{v} has non-positive multiplicity {m}")
             seen.add((u, v))
@@ -67,33 +64,21 @@ class Digraph:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_edges(cls, n: int | Iterable[int], edges: Iterable[tuple[int, int]]) -> Digraph:
-        """Build a graph on labels ``1..n`` (or an explicit label set).
-
-        Repeated ``(u, v)`` pairs accumulate multiplicity.
-        """
-        if isinstance(n, int):
-            if n < 1:
-                raise ValueError(f"n must be a positive integer, got {n}")
-            labels = tuple(range(1, n + 1))
-        else:
-            labels = tuple(sorted(set(n)))
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
+        """Build a graph on ``1..n``; repeated ``(u, v)`` pairs accumulate
+        multiplicity."""
         counts: dict[tuple[int, int], int] = {}
         for u, v in edges:
             counts[(u, v)] = counts.get((u, v), 0) + 1
         triples = tuple(sorted((u, v, m) for (u, v), m in counts.items()))
-        return cls(labels, triples)
+        return cls(n, triples)
 
     # -- basic accessors ----------------------------------------------
 
     @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def is_standard(self) -> bool:
-        """True when the labels are exactly ``1..n``; decided once per graph."""
-        return self.labels == tuple(range(1, self.n + 1))
+    def labels(self) -> range:
+        """The vertices, ``1..n``."""
+        return range(1, self.n + 1)
 
     def multiplicity(self, u: int, v: int) -> int:
         return self._mult.get((u, v), 0)
@@ -171,7 +156,7 @@ class Digraph:
         S = set(subset)
         if not S:
             raise ValueError("the subset must be non-empty")
-        if not S <= set(self.labels):
+        if not all(s in self.labels for s in S):
             raise ValueError(f"subset {sorted(S)} is not contained in the vertex set")
         for t in self.labels:
             if t in S:
@@ -213,52 +198,44 @@ class Digraph:
             for j in self.labels
             if i > j and (i, j) not in self._mult
         ]
-        return Digraph.from_edges(self.labels, pairs)
+        return Digraph.from_edges(self.n, pairs)
 
-    def delete_vertices(self, drop: Iterable[int], relabel: bool) -> Digraph:
-        """Induced subgraph on the remaining vertices.
-
-        With ``relabel`` the survivors are compressed order-preservingly
-        onto ``1..n-|drop|``; otherwise original labels are kept.
-        """
+    def delete_vertices(self, drop: Iterable[int]) -> Digraph:
+        """Induced subgraph on the remaining vertices, compressed
+        order-preservingly onto ``1..n-|drop|``: a survivor's new label
+        is its rank among the survivors."""
         S = set(drop)
-        if not S <= set(self.labels):
+        if not all(v in self.labels for v in S):
             raise ValueError(f"cannot delete labels outside the vertex set: {sorted(S)}")
         keep = [v for v in self.labels if v not in S]
         if not keep:
             raise ValueError("cannot delete every vertex")
-        pairs = [
-            (u, v) for u, v in self.edges() if u not in S and v not in S
-        ]
-        out = Digraph.from_edges(keep, pairs)
-        return out.standardized() if relabel else out
+        rank = {v: i for i, v in enumerate(keep, start=1)}
+        pairs = [(rank[u], rank[v]) for u, v in self.edges() if u in rank and v in rank]
+        return Digraph.from_edges(len(keep), pairs)
 
     def contract(self, u: int, v: int) -> Digraph:
         """Contract the edge u -> v, merging v into u.
 
         Edges between u and v (both directions, all copies) are dropped
         rather than becoming self-loops; every other edge incident to v
-        is redirected to u with multiplicity preserved.  The result keeps
-        the original labels minus v.
+        is redirected to u with multiplicity preserved.  The result is on
+        ``1..n-1``: v's label is freed, so every label w > v becomes
+        w - 1 (u among them when u > v).
         """
         if u == v:
             raise ValueError("cannot contract a self-pair")
         if (u, v) not in self._mult:
             raise ValueError(f"contract requires the edge {u}->{v} to be present")
-        pairs = []
-        for a, b in self.edges():
-            if {a, b} == {u, v}:
-                continue
-            pairs.append((u if a == v else a, u if b == v else b))
-        keep = [w for w in self.labels if w != v]
-        return Digraph.from_edges(keep, pairs)
+        # label[w] is w's label in the result; index 0 is unused
+        label = [w - (w > v) for w in range(self.n + 1)]
+        label[v] = label[u]
+        pairs = [(label[a], label[b]) for a, b in self.edges() if {a, b} != {u, v}]
+        return Digraph.from_edges(self.n - 1, pairs)
 
     def add_edge(self, u: int, v: int) -> Digraph:
         """Return the graph with one more copy of u -> v."""
-        label_set = set(self.labels)
-        if u not in label_set or v not in label_set:
-            raise ValueError(f"edge {u}->{v} has an endpoint outside the vertex set")
-        return Digraph.from_edges(self.labels, list(self.edges()) + [(u, v)])
+        return Digraph.from_edges(self.n, list(self.edges()) + [(u, v)])
 
     def remove_edge(self, u: int, v: int) -> Digraph:
         """Return the graph with one copy of u -> v removed."""
@@ -266,37 +243,28 @@ class Digraph:
             raise ValueError(f"edge {u}->{v} is not present")
         pairs = list(self.edges())
         pairs.remove((u, v))
-        return Digraph.from_edges(self.labels, pairs)
+        return Digraph.from_edges(self.n, pairs)
 
-    def standardized(self) -> Digraph:
-        """Relabel order-preservingly onto ``1..n``."""
-        if self.is_standard:
-            return self
-        rank = {v: i + 1 for i, v in enumerate(self.labels)}
-        return Digraph.from_edges(self.n, ((rank[u], rank[v]) for u, v in self.edges()))
-
-    def relabeled(self, mapping: dict[int, int]) -> Digraph:
-        """Apply a vertex bijection to labels, keeping edge directions."""
-        new_labels = [mapping[v] for v in self.labels]
-        if len(set(new_labels)) != len(new_labels):
-            raise ValueError("relabeling must be a bijection")
-        return Digraph.from_edges(new_labels, ((mapping[u], mapping[v]) for u, v in self.edges()))
+    def relabeled(self, perm: tuple[int, ...]) -> Digraph:
+        """Send each vertex v to ``perm[v-1]``, a permutation of ``1..n``
+        in one-line notation, keeping edge directions."""
+        if sorted(perm) != list(self.labels):
+            raise ValueError(f"{perm!r} is not a permutation of 1..{self.n}")
+        return Digraph.from_edges(self.n, ((perm[u - 1], perm[v - 1]) for u, v in self.edges()))
 
     # -- serialization ------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        obj: dict = {"n": self.n, "edges": [[u, v] for u, v in self.edges()]}
-        if not self.is_standard:
-            obj["labels"] = list(self.labels)
-        return obj
+        return {"n": self.n, "edges": [[u, v] for u, v in self.edges()]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> Digraph:
-        """Parse ``{"n": int, "edges": [[u, v], ...]}`` with optional
-        ``"labels"``; a malformed field raises ValueError naming it."""
+        """Parse ``{"n": int, "edges": [[u, v], ...]}``, where an optional
+        ``"labels"`` must be exactly ``[1, ..., n]``; a malformed field
+        raises ValueError naming it."""
         try:
             n = obj["n"]
             edges = obj["edges"]
@@ -311,12 +279,10 @@ class Digraph:
             if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
                 raise ValueError(f"graph field 'edges' holds {e!r}, not a pair of integers")
         labels = obj.get("labels")
-        if labels is None:
-            return cls.from_edges(n, edges)
-        if not (isinstance(labels, list) and all(type(v) is int and v >= 1 for v in labels)
-                and len(labels) == len(set(labels)) == n):
-            raise ValueError(f"graph field 'labels' must be {n} distinct positive integers, got {labels!r}")
-        return cls.from_edges(labels, edges)
+        if labels is not None and not (isinstance(labels, list) and len(labels) == n and all(
+                type(v) is int and v == i for i, v in enumerate(labels, start=1))):
+            raise ValueError(f"graph field 'labels' must be exactly 1..{n} when given, got {labels!r}")
+        return cls.from_edges(n, edges)
 
     @classmethod
     def from_json(cls, text: str) -> Digraph:

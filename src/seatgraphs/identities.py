@@ -219,8 +219,8 @@ def verify_point_squish(
     """For a sink-equivalent pair {a, b} with a -> b in X:
     ODP(X,Y)_{a->b} = x * sum over edges u->v of Y of
     ODP(X - {b}, Y^{uv})_{sigma(a)=u}, with parallel Y-edges summed
-    separately and labels aligned order-preservingly after the deletion
-    and contraction.
+    separately.  Deletion and contraction both leave a graph on
+    1..n-1, so a and u move down by one when they lie above b and v.
 
     Self-loops of Y are skipped on the right: no permutation can place
     a and b on the same vertex, so they never contribute to the left.
@@ -241,13 +241,13 @@ def verify_point_squish(
     n = X_graph.n
     check_bound("point squishing identity", n, bound)
     lhs = odp_edge_slice(X_graph, Y_graph, a, b, bound=None)
-    reduced = X_graph.delete_vertices({b}, relabel=True)
+    reduced = X_graph.delete_vertices({b})
     a_reduced = a - 1 if a > b else a
     total = Polynomial(())
     for u, v, mult in Y_graph.edge_counts:
         if u == v:
             continue
-        contracted = Y_graph.contract(u, v).standardized()
+        contracted = Y_graph.contract(u, v)
         u_reduced = u - 1 if u > v else u
         total = total + mult * odp_assign_slice(reduced, contracted, a_reduced, u_reduced, bound=None)
     rhs = X * total

@@ -13,9 +13,8 @@ The CLI checks it in one place, before anything of that size is built;
 --unsafe-bounds lifts it too.
 """
 
-# n! streams (permutation enumeration, implicit ODP sweeps, G-descent
-# counts: `odp`, its slices, `generalized_eulerian_poly`)
-PERM_ENUMERATION_BOUND = 12
+# n! streams (implicit ODP sweeps, G-descent counts: `odp`, its slices,
+# `generalized_eulerian_poly`)
 ODP_BOUND = 10
 
 # Full n!-vertex graph construction and the comparisons built on it

@@ -8,8 +8,8 @@ reproducible.
 The G-descent statistics are called once per permutation of S_n by
 ``generalized_eulerian_poly``, so each is one pass over the adjacent
 pairs of p, looked up in the reference graph's cached set of descending
-``(hi, lo)`` value pairs.  The graph's labels must be exactly 1..n, since
-the values of p are read as its labels; that is decided once per graph.
+``(hi, lo)`` value pairs.  The values of p are read as the graph's
+vertices, which are 1..n like the values themselves.
 """
 from __future__ import annotations
 
@@ -17,16 +17,15 @@ from itertools import permutations as _itertools_permutations
 from typing import Iterator
 
 from .digraph import Digraph
-from .limits import PERM_ENUMERATION_BOUND, check_bound
 
 Perm = tuple[int, ...]
 
 
-def enumerate_perms(n: int, bound: int | None = PERM_ENUMERATION_BOUND) -> Iterator[Perm]:
-    """Yield all n! permutations of 1..n in lexicographic order."""
+def enumerate_perms(n: int) -> Iterator[Perm]:
+    """All n! permutations of 1..n in lexicographic order, lazily: the
+    caller that walks them owns the bound on n."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    check_bound("permutation enumeration", n, bound)
     return _itertools_permutations(range(1, n + 1))
 
 
@@ -46,12 +45,10 @@ def excedance_count(p: Perm) -> int:
 
 
 def check_g_graph(graph: Digraph, n: int) -> None:
-    """G-descents of a permutation of 1..n read its values as the labels
-    of ``graph``, so the graph must be on exactly those labels."""
+    """G-descents of a permutation of 1..n read its values as the
+    vertices of ``graph``, so the graph must have n of them."""
     if n != graph.n:
         raise ValueError(f"permutation length {n} does not match graph on {graph.n} vertices")
-    if not graph.is_standard:
-        raise ValueError("G-descents are defined for graphs labeled exactly 1..n")
 
 
 def g_descent_count(p: Perm, graph: Digraph) -> int:

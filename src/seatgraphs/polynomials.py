@@ -16,7 +16,7 @@ from math import comb
 
 from .digraph import Digraph
 from .limits import ODP_BOUND, check_bound
-from .permutations import check_g_graph, enumerate_perms, g_cyclic_descent_count, g_descent_count
+from .permutations import enumerate_perms, g_cyclic_descent_count, g_descent_count
 
 
 def _strip(coeffs) -> tuple[int, ...]:
@@ -205,7 +205,6 @@ def generalized_eulerian_poly(graph: Digraph, cyclic: bool, bound: int | None = 
     public statistic is called once per permutation."""
     n = graph.n
     check_bound("generalized Eulerian polynomial", n, bound)
-    check_g_graph(graph, n)
     stat = g_cyclic_descent_count if cyclic else g_descent_count
-    counts = Counter(map(stat, enumerate_perms(n, bound=None), repeat(graph)))
+    counts = Counter(map(stat, enumerate_perms(n), repeat(graph)))
     return Polynomial(tuple(counts[m] for m in range(max(counts) + 1)))

@@ -209,3 +209,22 @@ def is_transitive(edges):
     closed: u -> v and v -> w always with u -> w?"""
     present = set(edges)
     return all((u, w) in present for u, v in present for v2, w in present if v == v2)
+
+
+def contracted_edges(edges, u, v):
+    """Edge list of X^{uv} on 1..n-1: drop every copy of u->v and v->u,
+    send v to u, then close the gap v leaves by moving each label above
+    it down one."""
+    def new(w):
+        w = u if w == v else w
+        return w - 1 if w > v else w
+
+    return sorted((new(a), new(b)) for a, b in edges if {a, b} != {u, v})
+
+
+def induced_edges(n, edges, drop):
+    """Edge list of the subgraph induced on 1..n minus ``drop``, each
+    survivor renamed to its rank among the survivors."""
+    survivors = [w for w in range(1, n + 1) if w not in drop]
+    rank = {w: i + 1 for i, w in enumerate(survivors)}
+    return sorted((rank[a], rank[b]) for a, b in edges if a in rank and b in rank)

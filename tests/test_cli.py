@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seatgraphs import cli
+from seatgraphs import cli, polynomials
 from seatgraphs.polynomials import Polynomial
 
 
@@ -63,14 +63,31 @@ class TestGen:
         ('{"n":true,"edges":[]}', "n"),
         ('{"n":3,"labels":"abc","edges":[]}', "labels"),
         ('{"n":3,"labels":[1,2,2],"edges":[]}', "labels"),
+        ('{"n":3,"labels":[2,3,7],"edges":[[3,2],[7,3]]}', "labels"),
         ('{"n":3,"edges":[[3,1,5]]}', "edges"),
         ('{"n":3,"edges":[[true,1]]}', "edges"),
-    ], ids=["n-string", "n-list", "n-bool", "labels-string", "labels-repeated", "edge-triple", "edge-bool"])
+    ], ids=["n-string", "n-list", "n-bool", "labels-string", "labels-repeated", "labels-not-1..n", "edge-triple",
+            "edge-bool"])
     def test_malformed_graph_json_is_usage_error(self, spec, field):
         r = run_cli("gen", spec)
         assert r.returncode == 2
         assert f"seatgraphs: error: graph field '{field}'" in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_labels_not_1_to_n_rejected_before_enumeration(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("S_n was enumerated")
+
+        monkeypatch.setattr(polynomials, "enumerate_perms", never)
+        spec = '{"n":3,"labels":[2,3,7],"edges":[[3,2],[7,3]]}'
+        errors = []
+        for argv in (["odp", spec, "path:3"], ["verify", "gen-eulerian", "--graph", spec]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("seatgraphs: error: graph field 'labels' must be exactly 1..3")
 
 
 class TestOdp:

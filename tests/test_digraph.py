@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from seatgraphs.digraph import Digraph, EquivalenceKind, cycle, path, tour
 
+import oracles
+
 
 def edges_of(g):
     return sorted(g.edges())
@@ -74,46 +76,48 @@ class TestComplement:
 
 class TestDeleteVertices:
     def test_induced_tournament(self):
-        assert tour(3).delete_vertices({2}, relabel=True) == tour(2)
-
-    def test_keep_labels(self):
-        g = path(4).delete_vertices({2}, relabel=False)
-        assert g.labels == (1, 3, 4)
-        assert edges_of(g) == [(3, 4)]
+        assert tour(3).delete_vertices({2}) == tour(2)
 
     def test_relabel_compresses(self):
-        assert cycle(3).delete_vertices({3}, relabel=True) == path(2)
+        assert cycle(3).delete_vertices({3}) == path(2)
+        # 1 -> 3 -> 4 survive as 1 -> 2 -> 3
+        assert path(4).delete_vertices({2}) == Digraph.from_edges(3, [(2, 3)])
+        assert Digraph.from_edges(5, [(5, 1), (4, 2), (3, 5)]).delete_vertices({2, 4}) == \
+            Digraph.from_edges(3, [(3, 1), (2, 3)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            tour(3).delete_vertices({5}, relabel=True)
+            tour(3).delete_vertices({5})
 
     def test_rejects_deleting_everything(self):
         with pytest.raises(ValueError):
-            tour(2).delete_vertices({1, 2}, relabel=False)
+            tour(2).delete_vertices({1, 2})
 
 
 class TestContract:
     def test_path_contracts_to_shorter_path(self):
-        g = path(4).contract(2, 3)
-        assert g.labels == (1, 2, 4)
-        assert edges_of(g) == [(1, 2), (2, 4)]
-        assert g.standardized() == path(3)
+        assert path(4).contract(2, 3) == path(3)
+        assert path(4).contract(1, 2) == path(3)
 
     def test_cycle_contracts_to_antiparallel_pair(self):
-        g = cycle(3).contract(3, 1)
-        assert g.labels == (2, 3)
-        assert edges_of(g) == [(2, 3), (3, 2)]
-        assert g.standardized() == cycle(2)
+        # merging 1 into 3 frees label 1: 2 -> 3 and 3 -> 2 become 1 -> 2, 2 -> 1
+        assert cycle(3).contract(3, 1) == cycle(2)
 
     def test_parallel_pair_collapses_entirely(self):
         g = Digraph.from_edges(2, [(1, 2), (1, 2)]).contract(1, 2)
-        assert g.labels == (1,)
+        assert g.n == 1
         assert g.total_edges() == 0
 
+    def test_labels_above_the_merged_vertex_move_down(self):
+        # v = 2 goes and u = 4 becomes 3: 3 -> 1 becomes 2 -> 1, both
+        # 2 -> 3 and 4 -> 3 become 3 -> 2, and the loop at 4 lands on 3
+        g = Digraph.from_edges(4, [(4, 2), (3, 1), (2, 3), (4, 3), (4, 4)]).contract(4, 2)
+        assert edges_of(g) == [(2, 1), (3, 2), (3, 2), (3, 3)]
+
     def test_contraction_can_create_parallel_edges(self):
+        # 1 -> 3 and 2 -> 3 both become 1 -> 2 once 3 moves down to 2
         g = Digraph.from_edges(3, [(1, 3), (2, 3), (1, 2)]).contract(1, 2)
-        assert g.multiplicity(1, 3) == 2
+        assert g == Digraph.from_edges(2, [(1, 2), (1, 2)])
 
     def test_edge_count_drop(self):
         # |E(X^{uv})| = |E(X)| - mult(u->v) - mult(v->u)
@@ -153,10 +157,6 @@ class TestPredicates:
     def test_descending_pairs_drop_loops_and_merge_copies(self):
         g = Digraph.from_edges(3, [(1, 3), (3, 1), (1, 3), (2, 2), (2, 1)])
         assert g.descending_pairs == {(3, 1), (2, 1)}
-
-    def test_is_standard(self):
-        assert tour(3).is_standard
-        assert not Digraph.from_edges([2, 3, 7], [(3, 2)]).is_standard
 
     def test_labeled_acyclic_implies_acyclic_exhaustive_n3(self):
         edge_pool = [(u, v) for u in range(1, 4) for v in range(1, 4) if u != v]
@@ -208,9 +208,17 @@ class TestSerialization:
         for g in (tour(4), path(5), cycle(2), cycle(6)):
             assert Digraph.from_json(g.to_json()) == g
 
-    def test_non_standard_labels_roundtrip(self):
-        g = path(4).delete_vertices({2}, relabel=False)
-        assert Digraph.from_json(g.to_json()) == g
+    def test_labels_1_to_n_parse_as_without(self):
+        g = Digraph.from_json('{"n":3,"labels":[1,2,3],"edges":[[3,1]]}')
+        assert g == Digraph.from_json('{"n":3,"edges":[[3,1]]}')
+        assert g.to_json() == '{"n":3,"edges":[[3,1]]}'
+
+    @pytest.mark.parametrize("labels", [[2, 3, 7], [1, 2], [1, 3, 2], [True, 2, 3], [1.0, 2, 3], "123"],
+                             ids=["2-3-7", "too-short", "unsorted", "bool", "float", "string"])
+    def test_labels_other_than_1_to_n_rejected(self, labels):
+        obj = {"n": 3, "labels": labels, "edges": [[3, 2]]}
+        with pytest.raises(ValueError, match="graph field 'labels'"):
+            Digraph.from_json_obj(obj)
 
     @given(st.integers(1, 5), st.data())
     def test_roundtrip_random_multigraphs(self, n, data):
@@ -227,6 +235,22 @@ class TestSerialization:
             Digraph.from_json('{"edges": []}')
 
 
+@given(st.integers(1, 5), st.data())
+def test_contract_and_delete_match_edge_list_reference(n, data):
+    # self-loops, parallel and antiparallel edges all come up at n <= 5
+    pool = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+    edges = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    g = Digraph.from_edges(n, edges)
+    drop = data.draw(st.sets(st.integers(1, n), max_size=n - 1))
+    reduced = g.delete_vertices(drop)
+    assert reduced.n == n - len(drop)
+    assert edges_of(reduced) == oracles.induced_edges(n, edges, drop)
+    for u, v in {(u, v) for u, v in edges if u != v}:
+        contracted = g.contract(u, v)
+        assert contracted.n == n - 1
+        assert edges_of(contracted) == oracles.contracted_edges(edges, u, v)
+
+
 class TestValidation:
     def test_rejects_edge_outside_vertex_set(self):
         with pytest.raises(ValueError):
@@ -235,6 +259,13 @@ class TestValidation:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             Digraph.from_edges(0, [])
+
+    def test_relabeled_takes_a_permutation(self):
+        # 1 -> 3, 2 -> 1, 3 -> 2 sends the path 1 -> 2 -> 3 to 3 -> 1 -> 2
+        assert path(3).relabeled((3, 1, 2)) == Digraph.from_edges(3, [(3, 1), (1, 2)])
+        for bad in ((1, 2), (1, 1, 2), (2, 3, 4)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                path(3).relabeled(bad)
 
     def test_equality_is_structural(self):
         assert Digraph.from_edges(3, [(2, 1), (3, 1)]) == Digraph.from_edges(3, [(3, 1), (2, 1)])

@@ -184,7 +184,7 @@ class TestGeneralizedEulerian:
             raise AssertionError("S_n was enumerated")
 
         monkeypatch.setattr(polynomials, "enumerate_perms", no_enumeration)
-        g = Digraph.from_edges([2, 3, 7], [(3, 2), (7, 3)])
+        obj = {"n": 3, "labels": [2, 3, 7], "edges": [[3, 2], [7, 3]]}
         for cyclic in (False, True):
-            with pytest.raises(ValueError, match="labeled exactly 1..n"):
-                generalized_eulerian_poly(g, cyclic)
+            with pytest.raises(ValueError, match="graph field 'labels'"):
+                generalized_eulerian_poly(Digraph.from_json_obj(obj), cyclic)
