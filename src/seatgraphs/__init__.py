@@ -1,7 +1,7 @@
 """Directed friends-and-seats graphs, outdegree polynomials, and exact
 identity verification at desk scale."""
 
-from .digraph import Digraph, EquivalenceKind, cycle, path, tour
+from .digraph import Digraph, cycle, path, tour
 from .dfsgraph import DfsEdgeWitness, MaterializedDfs, materialize, odp, odp_assign_slice, odp_edge_slice, out_neighbors, outdegree
 from .chromatic import (
     ChordalSequence,

@@ -9,25 +9,10 @@ reproducible.
 """
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
-
-
-class EquivalenceKind(enum.Enum):
-    """Uniformity predicates for a vertex subset against the outside."""
-
-    SELF = "self"
-    SINK = "sink"
-    SOURCE = "source"
-
-
-def _coerce_kind(kind: EquivalenceKind | str) -> EquivalenceKind:
-    if isinstance(kind, EquivalenceKind):
-        return kind
-    return EquivalenceKind(kind)
 
 
 @dataclass(frozen=True)
@@ -143,42 +128,35 @@ class Digraph:
                     queue.append(v)
         return removed == self.n
 
-    def equivalence_check(self, subset: Iterable[int], kind: EquivalenceKind | str) -> bool:
-        """Sink/source/self-equivalence of a vertex subset.
-
-        Multiplicity is ignored: only the presence of an edge matters.
-        For each outside vertex t, sink-equivalence demands that either
-        every member of the subset is directed towards t or none is;
-        source-equivalence is the mirror; self-equivalence demands both
-        at once (so it holds iff sink and source both hold).
-        """
-        kind = _coerce_kind(kind)
+    def _uniform_against_outside(self, subset: Iterable[int], outward: bool) -> bool:
+        """For each outside vertex t, every member s of the subset has the
+        edge s -> t (t -> s when not ``outward``) or none has.
+        Multiplicity is ignored: only the presence of an edge matters."""
         S = set(subset)
         if not S:
             raise ValueError("the subset must be non-empty")
         if not all(s in self.labels for s in S):
             raise ValueError(f"subset {sorted(S)} is not contained in the vertex set")
         for t in self.labels:
-            if t in S:
-                continue
-            out_hits = sum(1 for s in S if (s, t) in self._mult)
-            in_hits = sum(1 for s in S if (t, s) in self._mult)
-            if kind in (EquivalenceKind.SINK, EquivalenceKind.SELF):
-                if out_hits not in (0, len(S)):
-                    return False
-            if kind in (EquivalenceKind.SOURCE, EquivalenceKind.SELF):
-                if in_hits not in (0, len(S)):
+            if t not in S:
+                hits = sum(1 for s in S if ((s, t) if outward else (t, s)) in self._mult)
+                if hits not in (0, len(S)):
                     return False
         return True
 
     def is_sink_equivalent(self, subset: Iterable[int]) -> bool:
-        return self.equivalence_check(subset, EquivalenceKind.SINK)
+        """Every outside vertex receives an edge from all of the subset or
+        from none of it."""
+        return self._uniform_against_outside(subset, outward=True)
 
     def is_source_equivalent(self, subset: Iterable[int]) -> bool:
-        return self.equivalence_check(subset, EquivalenceKind.SOURCE)
+        """Every outside vertex sends an edge to all of the subset or to
+        none of it."""
+        return self._uniform_against_outside(subset, outward=False)
 
     def is_self_equivalent(self, subset: Iterable[int]) -> bool:
-        return self.equivalence_check(subset, EquivalenceKind.SELF)
+        """Sink-equivalent and source-equivalent at once."""
+        return self.is_sink_equivalent(subset) and self.is_source_equivalent(subset)
 
     # -- constructions ------------------------------------------------
 
@@ -244,13 +222,6 @@ class Digraph:
         pairs = list(self.edges())
         pairs.remove((u, v))
         return Digraph.from_edges(self.n, pairs)
-
-    def relabeled(self, perm: tuple[int, ...]) -> Digraph:
-        """Send each vertex v to ``perm[v-1]``, a permutation of ``1..n``
-        in one-line notation, keeping edge directions."""
-        if sorted(perm) != list(self.labels):
-            raise ValueError(f"{perm!r} is not a permutation of 1..{self.n}")
-        return Digraph.from_edges(self.n, ((perm[u - 1], perm[v - 1]) for u, v in self.edges()))
 
     # -- serialization ------------------------------------------------
 

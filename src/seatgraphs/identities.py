@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .chromatic import chromatic_poly, enumerate_labeled_acyclic, find_chordal_labeling, is_peo
 from .digraph import Digraph, cycle, path, tour
@@ -287,6 +288,25 @@ def _prefix_verdict(
     )
 
 
+def _verify_worpitzky(name: str, X_graph: Digraph, min_n: int, walk: Callable[[int], Digraph], k: int,
+                      rhs: Callable[[Polynomial], Iterable[int]], truncation: int, bound: int | None) -> Verdict:
+    """Both Worpitzky-like identities: ODP(X, walk(n)) / (1-x)^k against
+    ``rhs(chi)``, c_0..c_truncation from chi of X's complement."""
+    if not X_graph.is_labeled_acyclic() or not X_graph.is_simple():
+        raise ValueError(f"the {name} is stated for simple labeled acyclic X")
+    n = X_graph.n
+    if n < min_n:
+        raise ValueError(f"the {name} requires n >= {min_n}")
+    check_bound(name, n, bound)
+    complement = X_graph.complement()
+    # certificates first: a refused search then costs no ODP work
+    certificates = _chordality_certificates(X_graph, complement, bound)
+    lhs = expand_over_one_minus_x(odp(X_graph, walk(n), bound=None), k, truncation)
+    rhs_prefix = SeriesPrefix.from_values(rhs(chromatic_poly(complement)))
+    return _prefix_verdict(lhs, rhs_prefix, f"prefix m=0..{truncation} at n={n}", f"X={X_graph.to_json()}",
+                           certificates)
+
+
 def verify_path_identity(
     X_graph: Digraph, truncation: int = DEFAULT_TRUNCATION, bound: int | None = IDENTITY_BOUND
 ) -> Verdict:
@@ -300,24 +320,9 @@ def verify_path_identity(
     fails.  The verdict is computed either way, so sweeps can map where
     the identity holds beyond the hypothesis.
     """
-    if not X_graph.is_labeled_acyclic() or not X_graph.is_simple():
-        raise ValueError("the path identity is stated for simple labeled acyclic X")
-    n = X_graph.n
-    check_bound("path identity", n, bound)
-    complement = X_graph.complement()
-    # certificates first: a refused search then costs no ODP work
-    certificates = _chordality_certificates(X_graph, complement, bound)
-    lhs = expand_over_one_minus_x(odp(X_graph, path(n), bound=None), n + 1, truncation)
-    chi = chromatic_poly(complement)
-    sign = (-1) ** n
-    rhs = SeriesPrefix.from_values(sign * chi(-m - 1) for m in range(truncation + 1))
-    return _prefix_verdict(
-        lhs,
-        rhs,
-        f"prefix m=0..{truncation} at n={n}",
-        f"X={X_graph.to_json()}",
-        certificates,
-    )
+    sign = (-1) ** X_graph.n
+    return _verify_worpitzky("path identity", X_graph, 1, path, X_graph.n + 1,
+                             lambda chi: (sign * chi(-m - 1) for m in range(truncation + 1)), truncation, bound)
 
 
 def verify_cycle_base(
@@ -369,25 +374,14 @@ def verify_cycle_identity(
     certificate; ``x_chordal`` is recorded for the sweep, not as a
     hypothesis.  The verdict is computed either way.
     """
-    if not X_graph.is_labeled_acyclic() or not X_graph.is_simple():
-        raise ValueError("the cycle identity is stated for simple labeled acyclic X")
     n = X_graph.n
-    if n < 2:
-        raise ValueError("the cycle identity requires n >= 2")
-    check_bound("cycle identity", n, bound)
-    complement = X_graph.complement()
-    certificates = _chordality_certificates(X_graph, complement, bound)
-    lhs = expand_over_one_minus_x(odp(X_graph, cycle(n), bound=None), n, truncation)
-    chihat = chromatic_poly(complement).divide_by_x()
     sign = (-1) ** n
-    rhs = SeriesPrefix.from_values(sign * n * -chihat(-m) for m in range(truncation + 1))
-    return _prefix_verdict(
-        lhs,
-        rhs,
-        f"prefix m=0..{truncation} at n={n}",
-        f"X={X_graph.to_json()}",
-        certificates,
-    )
+
+    def rhs(chi: Polynomial) -> Iterable[int]:
+        chihat = chi.divide_by_x()
+        return (sign * n * -chihat(-m) for m in range(truncation + 1))
+
+    return _verify_worpitzky("cycle identity", X_graph, 2, cycle, n, rhs, truncation, bound)
 
 
 def verify_generalized_equals_odp(

@@ -6,8 +6,8 @@ modules it checks.  Graphs come in as (n, list-of-edge-pairs) so the
 oracles do not depend on the package's edge bookkeeping either.
 """
 from collections import Counter
-from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 
 def descent_distribution(n):
@@ -120,17 +120,12 @@ def brute_odp_and_slices(n, x_edges, y_edges, edge_pairs, assignments):
 
 
 def naive_series_prefix(coeffs, k, truncation):
-    """Prefix of P(x) / (1-x)^k by k truncated convolutions with the
-    all-ones geometric series (no binomial formula)."""
-    series = list(coeffs[: truncation + 1]) + [0] * (truncation + 1 - len(coeffs))
-    for _ in range(k):
-        acc = 0
-        out = []
-        for m in range(truncation + 1):
-            acc += series[m]
-            out.append(acc)
-        series = out
-    return tuple(Fraction(c) for c in series)
+    """Prefix of P(x) / (1-x)^k by convolution with the binomial series
+    1/(1-x)^k = sum_m C(m+k-1, k-1) x^m (no running sums)."""
+    return tuple(
+        sum(c * comb(m - j + k - 1, k - 1) for j, c in enumerate(coeffs[: m + 1]))
+        for m in range(truncation + 1)
+    )
 
 
 def proper_coloring_count(n, undirected_edges, k):

@@ -2,9 +2,12 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,9 @@ from hypothesis import strategies as st
 
 from seatgraphs import cli, polynomials
 from seatgraphs.polynomials import Polynomial
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args, env=None):
@@ -210,6 +216,85 @@ class TestBoundBeforeBuilding:
         assert "n=" not in r.stderr and "Traceback" not in r.stderr
 
 
+# Full reports of the series-prefix verifiers, byte for byte: a prefix
+# prints as (c0, c1, ...) with no trailing comma at M = 0, and each
+# coefficient goes to JSON as a [numerator, denominator] pair.
+HOLDS = '{"n":4,"edges":[[3,1],[4,2]]}'
+FAILS = '{"n":3,"edges":[[2,1],[3,2]]}'
+CYCLE = '{"n":3,"edges":[[3,1]]}'
+PINNED_PREFIX_REPORTS = {
+    "path-holds-M0-text": (("path-identity", "--graph", HOLDS, "--M", "0", "--format", "text"), 0,
+     "theorem: path-identity\n"
+     "holds: true\n"
+     "checked_range: prefix m=0..0 at n=4\n"
+     "certificates: x_chordal=true complement_peo=false\n"
+     "prefix: (14)\n"),
+    "path-holds-M0-json": (("path-identity", "--graph", HOLDS, "--M", "0", "--format", "json"), 0,
+     '{"holds":true,"checked_range":"prefix m=0..0 at n=4","counterexample":null,"certificates":{"x_chordal":true,"complement_peo":false},"prefix":[[14,1]]}\n'),
+    "path-holds-M12-text": (("path-identity", "--graph", HOLDS, "--M", "12", "--format", "text"), 0,
+     "theorem: path-identity\n"
+     "holds: true\n"
+     "checked_range: prefix m=0..12 at n=4\n"
+     "certificates: x_chordal=true complement_peo=false\n"
+     "prefix: (14, 78, 252, 620, 1290, 2394, 4088, 6552, 9990, 14630, 20724, 28548, 38402)\n"),
+    "path-holds-M12-json": (("path-identity", "--graph", HOLDS, "--M", "12", "--format", "json"), 0,
+     '{"holds":true,"checked_range":"prefix m=0..12 at n=4","counterexample":null,"certificates":{"x_chordal":true,"complement_peo":false},"prefix":[[14,1],[78,1],[252,1],[620,1],[1290,1],[2394,1],[4088,1],[6552,1],[9990,1],[14630,1],[20724,1],[28548,1],[38402,1]]}\n'),
+    "path-fails-M0-text": (("path-identity", "--graph", FAILS, "--M", "0", "--format", "text"), 1,
+     "theorem: path-identity\n"
+     "holds: false\n"
+     "checked_range: prefix m=0..0 at n=3\n"
+     "certificates: x_chordal=true complement_peo=false\n"
+     "prefix: (3)\n"
+     'counterexample: X={"n":3,"edges":[[2,1],[3,2]]}, first bad m=0\n'
+     "  lhs: (3)\n"
+     "  rhs: (2)\n"),
+    "path-fails-M0-json": (("path-identity", "--graph", FAILS, "--M", "0", "--format", "json"), 1,
+     '{"holds":false,"checked_range":"prefix m=0..0 at n=3","counterexample":{"inputs":"X={\\"n\\":3,\\"edges\\":[[2,1],[3,2]]}, first bad m=0","lhs":"(3)","rhs":"(2)"},"certificates":{"x_chordal":true,"complement_peo":false},"first_bad_m":0,"prefix":[[3,1]]}\n'),
+    "path-fails-M12-text": (("path-identity", "--graph", FAILS, "--M", "12", "--format", "text"), 1,
+     "theorem: path-identity\n"
+     "holds: false\n"
+     "checked_range: prefix m=0..12 at n=3\n"
+     "certificates: x_chordal=true complement_peo=false\n"
+     "prefix: (3, 14, 39, 84, 155, 258, 399, 584, 819, 1110, 1463, 1884, 2379)\n"
+     'counterexample: X={"n":3,"edges":[[2,1],[3,2]]}, first bad m=0\n'
+     "  lhs: (3, 14, 39, 84, 155, 258, 399, 584, 819, 1110, 1463, 1884, 2379)\n"
+     "  rhs: (2, 12, 36, 80, 150, 252, 392, 576, 810, 1100, 1452, 1872, 2366)\n"),
+    "path-fails-M12-json": (("path-identity", "--graph", FAILS, "--M", "12", "--format", "json"), 1,
+     '{"holds":false,"checked_range":"prefix m=0..12 at n=3","counterexample":{"inputs":"X={\\"n\\":3,\\"edges\\":[[2,1],[3,2]]}, first bad m=0","lhs":"(3, 14, 39, 84, 155, 258, 399, 584, 819, 1110, 1463, 1884, 2379)","rhs":"(2, 12, 36, 80, 150, 252, 392, 576, 810, 1100, 1452, 1872, 2366)"},"certificates":{"x_chordal":true,"complement_peo":false},"first_bad_m":0,"prefix":[[3,1],[14,1],[39,1],[84,1],[155,1],[258,1],[399,1],[584,1],[819,1],[1110,1],[1463,1],[1884,1],[2379,1]]}\n'),
+    "cycle-identity-M0-text": (("cycle-identity", "--graph", CYCLE, "--M", "0", "--format", "text"), 0,
+     "theorem: cycle-identity\n"
+     "holds: true\n"
+     "checked_range: prefix m=0..0 at n=3\n"
+     "certificates: x_chordal=true complement_peo=true\n"
+     "prefix: (3)\n"),
+    "cycle-identity-M0-json": (("cycle-identity", "--graph", CYCLE, "--M", "0", "--format", "json"), 0,
+     '{"holds":true,"checked_range":"prefix m=0..0 at n=3","counterexample":null,"certificates":{"x_chordal":true,"complement_peo":true},"prefix":[[3,1]]}\n'),
+    "cycle-identity-M12-text": (("cycle-identity", "--graph", CYCLE, "--M", "12", "--format", "text"), 0,
+     "theorem: cycle-identity\n"
+     "holds: true\n"
+     "checked_range: prefix m=0..12 at n=3\n"
+     "certificates: x_chordal=true complement_peo=true\n"
+     "prefix: (3, 12, 27, 48, 75, 108, 147, 192, 243, 300, 363, 432, 507)\n"),
+    "cycle-identity-M12-json": (("cycle-identity", "--graph", CYCLE, "--M", "12", "--format", "json"), 0,
+     '{"holds":true,"checked_range":"prefix m=0..12 at n=3","counterexample":null,"certificates":{"x_chordal":true,"complement_peo":true},"prefix":[[3,1],[12,1],[27,1],[48,1],[75,1],[108,1],[147,1],[192,1],[243,1],[300,1],[363,1],[432,1],[507,1]]}\n'),
+    "cycle-base-M0-text": (("cycle-base", "--n", "5", "--M", "0", "--format", "text"), 0,
+     "theorem: cycle-base\n"
+     "holds: true\n"
+     "checked_range: prefix m=0..0 at n=5\n"
+     "prefix: (0)\n"),
+    "cycle-base-M0-json": (("cycle-base", "--n", "5", "--M", "0", "--format", "json"), 0,
+     '{"holds":true,"checked_range":"prefix m=0..0 at n=5","counterexample":null,"prefix":[[0,1]]}\n'),
+    "cycle-base-M12-text": (("cycle-base", "--n", "5", "--M", "12", "--format", "text"), 0,
+     "theorem: cycle-base\n"
+     "holds: true\n"
+     "checked_range: prefix m=0..12 at n=5\n"
+     "prefix: (0, 5, 80, 405, 1280, 3125, 6480, 12005, 20480, 32805, 50000, 73205, 103680)\n"),
+    "cycle-base-M12-json": (("cycle-base", "--n", "5", "--M", "12", "--format", "json"), 0,
+     '{"holds":true,"checked_range":"prefix m=0..12 at n=5","counterexample":null,"prefix":[[0,1],[5,1],[80,1],[405,1],[1280,1],[3125,1],[6480,1],[12005,1],[20480,1],[32805,1],[50000,1],[73205,1],[103680,1]]}\n'),
+}
+
+
+
 class TestVerify:
     def test_cycle_base_holds(self):
         r = run_cli("verify", "cycle-base", "--n", "3", "--M", "8")
@@ -234,6 +319,11 @@ class TestVerify:
             "--graph", '{"n":4,"edges":[[3,1],[4,2]]}', "--M", "4",
         )
         assert "prefix: (14, 78, 252, 620, 1290)" in r.stdout
+
+    @pytest.mark.parametrize("argv, code, report", PINNED_PREFIX_REPORTS.values(), ids=PINNED_PREFIX_REPORTS)
+    def test_prefix_report_is_pinned(self, argv, code, report, capsys):
+        assert cli.main(["verify", *argv]) == code
+        assert capsys.readouterr() == (report, "")
 
     def test_failing_identity_exits_1(self):
         r = run_cli(
@@ -481,3 +571,30 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _readme_command_lines():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("seatgraphs ")]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_example_runs_as_documented(line, capsys):
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)[1:]
+    # the n=4 sweep reaches graphs outside the identity's hypothesis, where it fails
+    assert cli.main(argv) == (1 if argv[:2] == ["verify", "sweep"] else 0)
+    if comment:
+        assert capsys.readouterr().out.splitlines()[0] == comment.strip()
+
+
+def test_cli_imports_only_the_standard_library():
+    # modules loaded before the import (site's .pth start-up hooks) do not count
+    check = (
+        "import sys; before = set(sys.modules); import seatgraphs.cli; "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.partition('.')[0] not in sys.stdlib_module_names | {'seatgraphs'}))"
+    )
+    r = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from seatgraphs.digraph import Digraph, EquivalenceKind, cycle, path, tour
+from seatgraphs.digraph import Digraph, cycle, path, tour
 
 import oracles
 
@@ -168,14 +168,14 @@ class TestPredicates:
 
 class TestEquivalence:
     def test_tour3_top_pair_is_self_equivalent(self):
-        assert tour(3).equivalence_check({1, 2}, EquivalenceKind.SELF)
+        assert tour(3).is_self_equivalent({1, 2})
 
     def test_sink_with_no_outgoing(self):
         g = Digraph.from_edges(3, [(3, 1)])
-        assert g.equivalence_check({1, 2}, "sink")
+        assert g.is_sink_equivalent({1, 2})
 
     def test_path_pair_not_sink_equivalent(self):
-        assert not path(3).equivalence_check({1, 2}, "sink")
+        assert not path(3).is_sink_equivalent({1, 2})
 
     def test_self_iff_sink_and_source_exhaustive_n3(self):
         # includes graphs with antiparallel edges, where the one-sided
@@ -183,16 +183,24 @@ class TestEquivalence:
         edge_pool = [(u, v) for u in range(1, 4) for v in range(1, 4) if u != v]
         subsets = [{1, 2}, {1, 3}, {2, 3}, {1}, {2}, {3}, {1, 2, 3}]
         for mask in range(1 << 6):
-            g = Digraph.from_edges(3, [e for i, e in enumerate(edge_pool) if mask >> i & 1])
+            edges = [e for i, e in enumerate(edge_pool) if mask >> i & 1]
+            g = Digraph.from_edges(3, edges)
             for s in subsets:
-                both = g.is_sink_equivalent(s) and g.is_source_equivalent(s)
-                assert g.is_self_equivalent(s) == both
+                outside = set(range(1, 4)) - s
+                # the definitions, read off the edge list
+                sink = all(len({u for u in s if (u, t) in edges}) in (0, len(s)) for t in outside)
+                source = all(len({u for u in s if (t, u) in edges}) in (0, len(s)) for t in outside)
+                assert g.is_sink_equivalent(s) == sink
+                assert g.is_source_equivalent(s) == source
+                assert g.is_self_equivalent(s) == (sink and source)
 
     def test_rejects_bad_subsets(self):
-        with pytest.raises(ValueError):
-            tour(3).equivalence_check(set(), "sink")
-        with pytest.raises(ValueError):
-            tour(3).equivalence_check({9}, "sink")
+        g = tour(3)
+        for predicate in (g.is_sink_equivalent, g.is_source_equivalent, g.is_self_equivalent):
+            with pytest.raises(ValueError, match="non-empty"):
+                predicate(set())
+            with pytest.raises(ValueError, match="not contained"):
+                predicate({9})
 
 
 class TestSerialization:
@@ -259,13 +267,6 @@ class TestValidation:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             Digraph.from_edges(0, [])
-
-    def test_relabeled_takes_a_permutation(self):
-        # 1 -> 3, 2 -> 1, 3 -> 2 sends the path 1 -> 2 -> 3 to 3 -> 1 -> 2
-        assert path(3).relabeled((3, 1, 2)) == Digraph.from_edges(3, [(3, 1), (1, 2)])
-        for bad in ((1, 2), (1, 1, 2), (2, 3, 4)):
-            with pytest.raises(ValueError, match="not a permutation"):
-                path(3).relabeled(bad)
 
     def test_equality_is_structural(self):
         assert Digraph.from_edges(3, [(2, 1), (3, 1)]) == Digraph.from_edges(3, [(3, 1), (2, 1)])

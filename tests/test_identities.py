@@ -292,7 +292,7 @@ class TestPathIdentity:
         assert odp(x, path(3)) == Polynomial((3, 2, 1))
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the path identity is stated for simple labeled acyclic X"):
             verify_path_identity(path(3), 8)
 
 
@@ -337,8 +337,11 @@ class TestCycleIdentity:
         assert not verify_cycle_identity(x, 8).holds
 
     def test_rejects_n1(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the cycle identity requires n >= 2"):
             verify_cycle_identity(tour(1), 8)
+        # the input check comes first: a self-loop is refused as such, not for its n
+        with pytest.raises(ValueError, match="the cycle identity is stated for simple labeled acyclic X"):
+            verify_cycle_identity(Digraph.from_edges(1, [(1, 1)]), 8)
 
 
 class TestGeneralizedEqualsOdp:
