@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .digraph import Digraph
-from .limits import RELABEL_SEARCH_BOUND, check_bound
 from .permutations import Perm
 from .polynomials import Polynomial
 
@@ -86,7 +85,8 @@ def is_peo(graph: Digraph) -> bool:
     transitive tournament: b -> a present for all j >= b > a >= i.
     That holds exactly when every vertex's closed neighbourhood is a run
     of consecutive labels (the umbrella condition of Looges and Olariu,
-    1993), the test the labeling search below prunes by.
+    1993), the test ``find_chordal_labeling`` below puts to the
+    ordering it builds.
     """
     if not graph.is_labeled_acyclic():
         raise ValueError("perfect elimination orderings are defined for labeled acyclic graphs")
@@ -99,72 +99,73 @@ def is_peo(graph: Digraph) -> bool:
     return all(_span(c) == c for c in closed.values())
 
 
-def find_chordal_labeling(graph: Digraph, bound: int | None = RELABEL_SEARCH_BOUND) -> Perm | None:
-    """Search for a vertex labeling that is a perfect elimination ordering.
+def find_chordal_labeling(graph: Digraph) -> Perm | None:
+    """The first vertex labeling, in lexicographic order, that is a
+    perfect elimination ordering, or None if there is none.
 
-    A candidate labeling re-orients every underlying edge from the
-    larger new label to the smaller (so each candidate is a labeled
-    acyclic graph by construction); the first labeling in lexicographic
-    order that is a PEO is returned, or None if none exists.
+    A labeling re-orients every underlying edge from the larger new
+    label to the smaller.  It is a PEO when every edge's label interval
+    is a clique, that is when every closed neighbourhood is a run of
+    labels (the umbrella condition of Looges and Olariu, 1993).  Such
+    labelings exist exactly on the proper interval graphs (Roberts,
+    1969), so the claw K_{1,3} is chordal and has none.  The first one
+    is built in polynomial time, not searched for among n! labelings:
 
-    Note the interval-clique condition is stronger than classic
-    chordality: it asks for an ordering in which every edge's whole
-    label interval is a clique, so e.g. the claw K_{1,3} admits no such
-    labeling even though it is a chordal graph.
+    1. An edge's interval holds only labels adjacent to both its ends,
+       so each component takes a block of consecutive labels.  Blocks
+       may come in any order; the first labeling takes them by least
+       vertex.
+    2. Twins (equal closed neighbourhoods) are contiguous in every such
+       ordering, so a component is swept with one vertex per twin
+       class.  Three LBFS sweeps, the last two breaking ties toward
+       the vertex latest in the sweep before, give an umbrella ordering
+       whenever one exists (Corneil, 2004).
+    3. A connected proper interval graph's twin classes come in one
+       order up to reversal (Deng, Hell and Huang, 1996).  Each
+       direction hands every class's labels to its vertices in
+       increasing order; the component's first labeling is the smaller
+       of the two, read over its vertices in increasing order.
 
-    The search is pruned, and its order is unchanged: vertices 1, 2, ...
-    take labels in turn, each trying its labels in increasing order, so
-    complete labelings come up in lexicographic order.  Every edge's
-    interval is a clique exactly when each vertex's closed neighbourhood
-    is a run of consecutive labels (the umbrella condition of Looges and
-    Olariu, 1993: labels i < j < k with an edge {i, k} force the edges
-    {i, j} and {j, k}).  A vertex skips every label that would leave
-    some labeled vertex's labeled closed neighbourhood short of a run
-    among the labels taken so far.  That pruning is exact: the labels
-    that break the run, and the edges among them, stay in every
-    completion, so no completion of a skipped prefix is a PEO.
+    The run test on the result decides whether the sweeps found one.
     """
     if not graph.is_acyclic():
         raise ValueError("chordal labelings are defined for acyclic graphs")
     if not graph.is_simple():
         raise ValueError("chordal labelings are defined for simple graphs")
     n = graph.n
-    check_bound("chordal labeling search", n, bound)
-    # vertices are 0-based; label l is bit l, and bits 0 and n + 1 are
-    # always taken, so a run of labels has a taken label on either side
-    earlier: list[list[int]] = [[] for _ in range(n)]  # neighbours labeled first
+    # 0-based vertices; bit u of closed[v] is set when u is v or a neighbour
+    closed = [1 << v for v in range(n)]
     for lo, hi in graph.undirected_edges():
-        earlier[hi - 1].append(lo - 1)
-    every_label = (2 << n) - 2
-    used = 1 | 2 << n
+        closed[lo - 1] |= 1 << hi - 1
+        closed[hi - 1] |= 1 << lo - 1
     label = [0] * n
-    closed = [0] * n  # a labeled vertex's label and its labeled neighbours'
-    options = [every_label] + [0] * (n - 1)  # labels left to try
-    v = 0
-    # a loop, not recursion, so that bound=None never meets the
-    # recursion limit
-    while v < n:
-        bit = options[v] & -options[v]
-        if not bit:
-            # vertex v has no label left: take back the one before it
-            if not v:
-                return None
-            v -= 1
-            bit = label[v]
-            used ^= bit
-            for u in earlier[v]:
-                closed[u] ^= bit
-            continue
-        options[v] ^= bit
-        used |= bit
-        label[v] = closed[v] = bit
-        for u in earlier[v]:
-            closed[u] |= bit
-            closed[v] |= label[u]
-        v += 1
-        if v < n:
-            options[v] = every_label & ~used & _labels_keeping_runs(v, earlier[v], label, closed, used)
-    return tuple(b.bit_length() - 1 for b in label)
+    offset = 0
+    unplaced = (1 << n) - 1
+    while unplaced:
+        reach = frontier = unplaced & -unplaced
+        while frontier:
+            grown = 0
+            for v in _members(frontier):
+                grown |= closed[v]
+            frontier = grown & ~reach
+            reach |= grown
+        unplaced ^= reach
+        vertices = _members(reach)
+        twins: dict[int, list[int]] = {}
+        for v in vertices:
+            twins.setdefault(closed[v], []).append(v)
+        order = [group[0] for group in twins.values()]  # one vertex per twin class
+        for _ in range(3):
+            order = _lbfs(order, closed)
+        classes = [twins[closed[v]] for v in order]
+        for v, slot in zip(vertices, min(_slots(vertices, classes), _slots(vertices, classes[::-1]))):
+            label[v] = offset + slot
+        offset += len(vertices)
+    runs = [1 << own for own in label]
+    for lo, hi in graph.undirected_edges():
+        runs[lo - 1] |= 1 << label[hi - 1]
+        runs[hi - 1] |= 1 << label[lo - 1]
+    return tuple(label) if all(_span(run) == run for run in runs) else None
 
 
 def _span(run: int) -> int:
@@ -172,31 +173,41 @@ def _span(run: int) -> int:
     return (1 << run.bit_length()) - (run & -run)
 
 
-def _reach(run: int, used: int) -> int:
-    """The labels strictly between the taken labels nearest below and
-    above ``run``."""
-    below = used & ((run & -run) - 1)
-    above = used & -(1 << run.bit_length())
-    return ((above & -above) - 1) ^ ((1 << below.bit_length()) - 1)
+def _members(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
 
 
-def _labels_keeping_runs(v: int, neighbours: list[int], label: list[int], closed: list[int], used: int) -> int:
-    """The labels at which vertex ``v`` keeps the closed neighbourhood of
-    each of the vertices 0..v a run among the taken labels, given that
-    those of 0..v-1 are runs.  ``neighbours`` are v's among 0..v-1."""
-    fits = -1
-    own = 0
-    for u in range(v):
-        if u in neighbours:
-            own |= label[u]
-            fits &= _reach(closed[u], used)
-        else:
-            fits &= ~_span(closed[u])
-    if not own:
-        return fits
-    if used & _span(own) != own:
-        return 0
-    return fits & _reach(own, used)
+def _lbfs(order: list[int], closed: list[int]) -> list[int]:
+    """Lexicographic breadth-first search of the connected graph on
+    ``order``, breaking ties toward the vertex latest in ``order``."""
+    blocks = [order[::-1]]  # vertices with equal lexicographic labels
+    visited = []
+    while blocks:
+        v = blocks[0].pop(0)
+        visited.append(v)
+        near = closed[v]
+        refined = []
+        for block in blocks:
+            inside = [u for u in block if near >> u & 1]
+            if inside and len(inside) < len(block):
+                refined += inside, [u for u in block if not near >> u & 1]
+            elif block:
+                refined.append(block)
+        blocks = refined
+    return visited
+
+
+def _slots(vertices: list[int], classes: list[list[int]]) -> list[int]:
+    """1-based positions of ``vertices`` when ``classes`` are laid out
+    in order, each in increasing order."""
+    slot = {v: i for i, v in enumerate((v for twins in classes for v in twins), 1)}
+    return [slot[v] for v in vertices]
 
 
 @dataclass(frozen=True)

@@ -257,15 +257,6 @@ def verify_point_squish(
                          f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, pair ({a},{b})")
 
 
-def _chordality_certificates(X_graph: Digraph, complement: Digraph, bound: int | None) -> dict:
-    # the labeling search takes the verifier's own bound, so
-    # --unsafe-bounds lifts both
-    return {
-        "x_chordal": find_chordal_labeling(X_graph, bound=bound) is not None,
-        "complement_peo": is_peo(complement),
-    }
-
-
 def _poly_verdict(lhs: Polynomial, rhs: Polynomial, rng: str, inputs: str) -> Verdict:
     if lhs == rhs:
         return Verdict(True, rng)
@@ -299,8 +290,7 @@ def _verify_worpitzky(name: str, X_graph: Digraph, min_n: int, walk: Callable[[i
         raise ValueError(f"the {name} requires n >= {min_n}")
     check_bound(name, n, bound)
     complement = X_graph.complement()
-    # certificates first: a refused search then costs no ODP work
-    certificates = _chordality_certificates(X_graph, complement, bound)
+    certificates = {"x_chordal": find_chordal_labeling(X_graph) is not None, "complement_peo": is_peo(complement)}
     lhs = expand_over_one_minus_x(odp(X_graph, walk(n), bound=None), k, truncation)
     rhs_prefix = SeriesPrefix.from_values(rhs(chromatic_poly(complement)))
     return _prefix_verdict(lhs, rhs_prefix, f"prefix m=0..{truncation} at n={n}", f"X={X_graph.to_json()}",

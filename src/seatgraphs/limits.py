@@ -21,9 +21,6 @@ ODP_BOUND = 10
 # (`materialize`, automorphism, acyclicity, subgraph monotonicity)
 MATERIALIZE_BOUND = 7
 
-# Factorial search over vertex relabelings
-RELABEL_SEARCH_BOUND = 8
-
 # Exhaustive 2^(n(n-1)/2) family sweeps
 SWEEP_BOUND = 4
 

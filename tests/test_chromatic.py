@@ -248,7 +248,74 @@ class TestFindChordalLabeling:
 
     def test_search_deeper_than_the_recursion_limit(self):
         # one level per vertex, past Python's default limit of 1000
-        assert find_chordal_labeling(path(1100), bound=None) == tuple(range(1, 1101))
+        assert find_chordal_labeling(path(1100)) == tuple(range(1, 1101))
+
+    def test_claw_among_isolated_vertices_at_1000(self):
+        claw = Digraph.from_edges(1000, [(2, 1), (3, 1), (4, 1)])
+        assert find_chordal_labeling(claw) is None
+
+    def test_four_cycle_beside_a_long_path_at_1000(self):
+        square = [(2, 1), (3, 2), (4, 3), (4, 1)]
+        g = Digraph.from_edges(1000, square + [(v + 1, v) for v in range(5, 1000)])
+        assert find_chordal_labeling(g) is None
+
+    def test_interleaved_paths_at_1000(self):
+        # the odd labels and the even labels each form a path; the
+        # component of vertex 1 takes labels 1..500 from its least
+        # vertex up, the other takes 501..1000
+        g = Digraph.from_edges(1000, [(v + 2, v) for v in range(1, 999)])
+        expected = tuple((v + 1) // 2 if v % 2 else 500 + v // 2 for v in range(1, 1001))
+        assert find_chordal_labeling(g) == expected
+
+    def test_matches_oracle_on_structured_graphs_at_6_and_7(self):
+        # each graph places pieces on shuffled vertices: random unit
+        # interval graphs (equal intervals are twins) and, in every third
+        # graph, one piece with no interval-clique labeling; a vertex
+        # left over is isolated
+        no_labeling = [
+            (4, [(0, 1), (0, 2), (0, 3)]),  # claw
+            (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # C4
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),  # C5
+            (6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)]),  # net
+            (6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)]),  # tent
+        ]
+
+        def unit_intervals(k):
+            starts = sorted(rng.randrange(k) for _ in range(k))
+            return k, [(i, j) for i, j in combinations(range(k), 2) if starts[j] - starts[i] <= 1]
+
+        rng = random.Random(15)
+        isolated = twins = interleaved = 0
+        for k in range(60):
+            # each piece with no labeling comes twice at n = 6 and twice at 7
+            n = 6 + k % 2
+            chosen = [] if k % 3 else [no_labeling[k // 3 % 5]]
+            while sum(size for size, _ in chosen) < n - 1:
+                chosen.append(unit_intervals(rng.randint(2, n - sum(size for size, _ in chosen))))
+            vertices = rng.sample(range(1, n + 1), n)
+            edges, start = [], 0
+            for size, piece in chosen:
+                edges += [tuple(sorted((vertices[start + i], vertices[start + j]))) for i, j in piece]
+                start += size
+            rho = find_chordal_labeling(Digraph.from_edges(n, [(hi, lo) for lo, hi in edges]))
+            assert rho == oracles.brute_chordal_labeling(n, edges), (n, edges)
+            assert (rho is None) == (k % 3 == 0)
+            closed = {v: {v} for v in range(1, n + 1)}
+            for u, v in edges:
+                closed[u].add(v)
+                closed[v].add(u)
+            components = []
+            for v in range(1, n + 1):
+                if all(v not in c for c in components):
+                    c = {v}
+                    while (grown := set().union(*(closed[u] for u in c))) != c:
+                        c = grown
+                    components.append(c)
+            isolated += any(len(c) == 1 for c in components)
+            twins += any(len(c) > 2 and len({frozenset(closed[u]) for u in c}) < len(c) for c in components)
+            interleaved += any(min(a) < min(b) < max(a) for a, b in combinations(components, 2))
+        # the cases the construction distinguishes are all reached
+        assert min(isolated, twins, interleaved) >= 10, (isolated, twins, interleaved)
 
     def test_certificate_actually_is_a_peo(self):
         g = Digraph.from_edges(4, [(3, 1), (4, 2)])

@@ -448,6 +448,16 @@ class TestSweep:
         assert len(sweep_identity(n, 2, bound=None)) == 2 ** (n * (n - 1) // 2)
         assert len(verified) == classes
 
+    # `verify sweep --n 5` is what the benchmark checks `cert_X_chordal`
+    # on, row by row; brute force over all 5! labelings decides it here
+    @pytest.mark.parametrize("which", ["path", "cycle"])
+    def test_x_chordal_column_matches_brute_force_at_n5(self, which):
+        rows = sweep_identity(5, 1, which=which, bound=None)
+        assert len(rows) == 1024
+        for row in rows:
+            edges = [tuple(sorted(map(int, e.split(">")))) for e in row.edges.split()]
+            assert row.cert_x_chordal == (oracles.brute_chordal_labeling(5, edges) is not None), row.edges
+
     # both identities hold exactly on the transitively closed X: the
     # naturally labeled posets, 1, 2, 7, 40, 357 of them (OEIS A006455)
     @pytest.mark.parametrize("which", ["path", "cycle"])
