@@ -268,8 +268,8 @@ def chordal_sequence(graph: Digraph) -> ChordalSequence:
     with positive indegree and the largest b with an edge b -> a, and
     put b -> a back.
 
-    Requires X labeled acyclic and simple with a directed chordal
-    complement (a PEO under some labeling).  Each removal is certified
+    Requires X labeled acyclic and simple with a complement that is a
+    PEO as labeled.  Each removal is certified
     sink-equivalent in the graph still containing the edge; note the
     certificate is insensitive to which side of the removal hosts it,
     since edges inside the pair never affect sink-equivalence.
@@ -279,8 +279,8 @@ def chordal_sequence(graph: Digraph) -> ChordalSequence:
     if not graph.is_simple():
         raise ValueError("chordal sequences are defined for simple graphs")
     comp = graph.complement()
-    if not is_peo(comp) and find_chordal_labeling(comp) is None:
-        raise ValueError("hypothesis failure: complement of X is not directed chordal")
+    if not is_peo(comp):
+        raise ValueError("hypothesis failure: complement of X is not a PEO as labeled")
 
     # walk upward from X to Tour_n, then reverse
     upward: list[tuple[Digraph, tuple[int, int] | None]] = [(graph, None)]

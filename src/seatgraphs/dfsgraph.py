@@ -43,7 +43,8 @@ to each free value in turn and every part is walked.  A level with no
 live position holds only subsets of the values and is never split.  The
 stream is the base case, taken whenever its price is lower, which is how
 small n (where n! beats any state table) and graphs wide on both sides
-are handled.
+are handled.  A sum's price against the work bound is its parts' chosen
+prices (one part per Y-edge for an edge slice), checked before any runs.
 
 ``materialize`` exists for inspection and DOT/JSON export at small n.  It
 pays for its output: n! vertices and one witness per edge (52 920 for
@@ -60,13 +61,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, zip_longest
 from math import comb, factorial, perm
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .digraph import Digraph
-from .limits import MATERIALIZE_BOUND, ODP_BOUND, check_bound
+from .limits import WORK_BOUND, check_bound
 from .permutations import Perm, enumerate_perms, validate_perm, word
 from .polynomials import Polynomial
 
@@ -162,20 +163,23 @@ def outdegree(X: Digraph, Y: Digraph, p: Perm) -> int:
     return sum(w.multiplicity for w in out_neighbors(X, Y, p))
 
 
-def _odp_poly(X: Digraph, Y: Digraph, pinned: dict[int, int]) -> Polynomial:
-    """Sum of x^outdegree over the permutations that take each pinned
-    position to its value (``{position: value}``, 1-based)."""
+def _odp_poly(X: Digraph, Y: Digraph, parts: list[tuple[int, dict[int, int]]], what: str,
+              bound: int | None) -> Polynomial:
+    """Sum over ``parts`` of (weight, ``{position: value}``, 1-based) of
+    weight * x^outdegree over the permutations that take each pinned
+    position to its value.  All parts are priced before the first runs."""
     n = X.n
-    plan, side = _choose(X, Y, pinned)
-    # no coefficient exceeds n!, so this many bits per coefficient keep
-    # packed polynomials exact under shifts and sums
+    chosen = [(weight, *_choose(X, Y, pins, what, bound)) for weight, pins in parts]
+    check_bound(what, sum(price for _, price, _, _ in chosen), bound)
+    # no coefficient of a part exceeds n!, so this many bits per coefficient keep packed
+    # polynomials exact under shifts and sums; weights apply after unpacking
     width = factorial(n).bit_length() + 1
-    packed = _stream(n, *side, width) if plan is None else _run(n, *side, plan, width)
     low = (1 << width) - 1
-    coeffs = []
-    while packed:
-        coeffs.append(packed & low)
-        packed >>= width
+    coeffs: list[int] = []
+    for weight, _, plan, side in chosen:
+        packed = _stream(n, *side, width) if plan is None else _run(n, *side, plan, width)
+        part = [weight * (packed >> d * width & low) for d in range(packed.bit_length() // width + 1)]
+        coeffs = [a + b for a, b in zip_longest(coeffs, part, fillvalue=0)]
     return Polynomial(tuple(coeffs))
 
 
@@ -192,27 +196,31 @@ class _Plan(NamedTuple):
     part: _Plan | None = None
 
 
-def _choose(X: Digraph, Y: Digraph, pinned: dict[int, int]) -> tuple[_Plan | None, tuple]:
-    """The cheaper way to take the pinned sum: ``(None, side)`` streams
-    ``side``, ``(plan, side)`` walks it.  A side is (walked, other, pins):
-    the non-loop edge multiplicities of the graph whose positions are
-    assigned, those of the other graph, and the pins in its terms."""
+def _choose(X: Digraph, Y: Digraph, pinned: dict[int, int], what: str = "",
+            bound: int | None = None) -> tuple[int, _Plan | None, tuple]:
+    """The cheaper way to take the pinned sum, priced in stream steps:
+    ``(price, None, side)`` streams ``side``, ``(price, plan, side)`` walks
+    it.  A side is (walked, other, pins): the non-loop edge multiplicities
+    of the graph whose positions are assigned, those of the other graph,
+    and the pins in its terms.  Raises first if nothing can fit ``bound``."""
     n = X.n
+    free = n - len(pinned)
+    # any walk reaches every subset of the free values and scans the
+    # values it leaves unused; a stream takes at least F! steps
+    floor = _WALK_COST * free * 2**free // 2
+    check_bound(what, min(floor, factorial(free)), bound)
     xm = {(a, b): m for a, b, m in X.edge_counts if a != b}
     # a Y self-loop never lies under an X-edge: sigma(a) != sigma(b)
     ym = {(u, v): m for u, v, m in Y.edge_counts if u != v}
-    free = n - len(pinned)
     sides = ((xm, ym, pinned), (ym, xm, {v: i for i, v in pinned.items()}))
     # a permutation costs about one edge test more than its edges
     stream = factorial(free) * (min(len(xm), len(ym)) + 1)
-    # any walk reaches every subset of the free values and scans the
-    # values it leaves unused
-    if stream > _WALK_COST * free * 2 ** (free - 1):
+    if stream > floor:
         plan, side = min(((_plan(n, side[0], set(side[2])), side) for side in sides),
                          key=lambda planned: planned[0].cost)
         if _WALK_COST * plan.cost < stream:
-            return plan, side
-    return None, min(sides, key=lambda side: len(side[0]))
+            return _WALK_COST * plan.cost, plan, side
+    return stream, None, min(sides, key=lambda side: len(side[0]))
 
 
 def _run(n: int, walked: dict, other: dict, pins: dict[int, int], plan: _Plan, width: int) -> int:
@@ -397,14 +405,13 @@ def _walk(n: int, walked: dict, other: dict, pins: dict[int, int], order: list[i
     return sum(cur.values())
 
 
-def odp(X: Digraph, Y: Digraph, bound: int | None = ODP_BOUND) -> Polynomial:
+def odp(X: Digraph, Y: Digraph, bound: int | None = WORK_BOUND) -> Polynomial:
     """Outdegree polynomial: sum over S_n of x^outdegree(sigma)."""
-    n = _check_same_n(X, Y)
-    check_bound("outdegree polynomial", n, bound)
-    return _odp_poly(X, Y, {})
+    _check_same_n(X, Y)
+    return _odp_poly(X, Y, [(1, {})], "outdegree polynomial", bound)
 
 
-def odp_edge_slice(X: Digraph, Y: Digraph, a: int, b: int, bound: int | None = ODP_BOUND) -> Polynomial:
+def odp_edge_slice(X: Digraph, Y: Digraph, a: int, b: int, bound: int | None = WORK_BOUND) -> Polynomial:
     """Partial ODP over vertices whose label satisfies sigma(a) -> sigma(b) in Y.
 
     The contribution of each such sigma is weighted by
@@ -414,21 +421,16 @@ def odp_edge_slice(X: Digraph, Y: Digraph, a: int, b: int, bound: int | None = O
     n = _check_same_n(X, Y)
     if a == b or not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"slice pair ({a}, {b}) must be two distinct labels in 1..{n}")
-    check_bound("ODP edge slice", n, bound)
-    total = Polynomial(())
-    for u, v, weight in Y.edge_counts:
-        if u != v:
-            total = total + weight * _odp_poly(X, Y, {a: u, b: v})
-    return total
+    parts = [(weight, {a: u, b: v}) for u, v, weight in Y.edge_counts if u != v]
+    return _odp_poly(X, Y, parts, "ODP edge slice", bound)
 
 
-def odp_assign_slice(X: Digraph, Y: Digraph, i: int, j: int, bound: int | None = ODP_BOUND) -> Polynomial:
+def odp_assign_slice(X: Digraph, Y: Digraph, i: int, j: int, bound: int | None = WORK_BOUND) -> Polynomial:
     """Partial ODP over vertices whose label satisfies sigma(i) = j."""
     n = _check_same_n(X, Y)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"assignment sigma({i}) = {j} is out of range for n={n}")
-    check_bound("ODP assignment slice", n, bound)
-    return _odp_poly(X, Y, {i: j})
+    return _odp_poly(X, Y, [(1, {i: j})], "ODP assignment slice", bound)
 
 
 @dataclass(frozen=True)
@@ -523,11 +525,12 @@ class MaterializedDfs:
         return "\n".join(lines) + "\n"
 
 
-def materialize(X: Digraph, Y: Digraph, bound: int | None = MATERIALIZE_BOUND) -> MaterializedDfs:
+def materialize(X: Digraph, Y: Digraph, bound: int | None = WORK_BOUND) -> MaterializedDfs:
     """Build the full DFS(X, Y) graph (n! vertices).  Every witness's
-    target is the vertex object itself."""
+    target is the vertex object itself.  Priced at n! * (n + 5a) for the
+    a non-loop arcs of X: each vertex, and each witness it may store."""
     n = _check_same_n(X, Y)
-    check_bound("DFS materialization", n, bound)
+    check_bound("DFS materialization", factorial(n) * (n + 5 * sum(a != b for a, b, _ in X.edge_counts)), bound)
     vertices = tuple(enumerate_perms(n))
     arcs, grid = _witness_rule(X, Y)
     vertex = {p: p for p in vertices}

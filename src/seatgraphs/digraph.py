@@ -33,18 +33,17 @@ class Digraph:
         n = self.n
         if n < 1:
             raise ValueError(f"n must be a positive integer, got {n}")
-        seen: set[tuple[int, int]] = set()
         for u, v, m in self.edge_counts:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge {u}->{v} has an endpoint outside the vertex set 1..{n}")
             if m < 1:
                 raise ValueError(f"edge {u}->{v} has non-positive multiplicity {m}")
-            seen.add((u, v))
-        if len(seen) != len(self.edge_counts):
+        mult = {(u, v): m for u, v, m in self.edge_counts}
+        if len(mult) != len(self.edge_counts):
             raise ValueError("duplicate (source, target) pair in edge_counts")
         if tuple(sorted(self.edge_counts)) != self.edge_counts:
             raise ValueError("edge_counts must be sorted by (source, target)")
-        object.__setattr__(self, "_mult", {(u, v): m for u, v, m in self.edge_counts})
+        object.__setattr__(self, "_mult", mult)
 
     # -- construction -------------------------------------------------
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable, Iterable
 
 from .chromatic import chromatic_poly, enumerate_labeled_acyclic, find_chordal_labeling, is_peo
 from .digraph import Digraph, cycle, path, tour
 from .dfsgraph import materialize, odp, odp_assign_slice, odp_edge_slice
-from .limits import DEFAULT_TRUNCATION, IDENTITY_BOUND, MATERIALIZE_BOUND, ODP_BOUND, SWEEP_BOUND, check_bound
+from .limits import DEFAULT_TRUNCATION, IDENTITY_BOUND, WORK_BOUND, BoundExceededError, check_bound
 from .permutations import inverse
-from .polynomials import ONE, X, Polynomial, SeriesPrefix, expand_over_one_minus_x
+from .polynomials import ONE, X, Polynomial, SeriesPrefix, eulerian_poly, expand_over_one_minus_x, generalized_eulerian_poly
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def _witness_multiplicities(dfs) -> dict:
 
 
 def verify_automorphism(
-    X_graph: Digraph, Y_graph: Digraph, bound: int | None = MATERIALIZE_BOUND
+    X_graph: Digraph, Y_graph: Digraph, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """Inversion is a multiplicity-preserving edge bijection between
     DFS(X, Y) and DFS(Y, X)."""
@@ -104,7 +105,7 @@ def verify_automorphism(
 
 
 def verify_acyclic_potential(
-    X_graph: Digraph, Y_graph: Digraph, bound: int | None = MATERIALIZE_BOUND
+    X_graph: Digraph, Y_graph: Digraph, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """For labeled acyclic X and Y, DFS(X, Y) is acyclic and the
     potential f(sigma) = sum i*sigma(i) strictly decreases along every
@@ -142,7 +143,7 @@ def verify_subgraph_monotonicity(
     X_big: Digraph,
     Y_small: Digraph,
     Y_big: Digraph,
-    bound: int | None = MATERIALIZE_BOUND,
+    bound: int | None = WORK_BOUND,
 ) -> Verdict:
     """Multiset edge containment of X and Y lifts to witness containment
     of DFS(X, Y) in DFS(X', Y')."""
@@ -153,9 +154,8 @@ def verify_subgraph_monotonicity(
             if big.multiplicity(u, v) < m:
                 raise ValueError(f"{name} is not a sub-multigraph of {name}'")
     n = X_small.n
-    check_bound("subgraph monotonicity check", n, bound)
-    big = materialize(X_big, Y_big, bound=None)
-    small = materialize(X_small, Y_small, bound=None)
+    big = materialize(X_big, Y_big, bound=bound)
+    small = materialize(X_small, Y_small, bound=bound)
     rng = f"all witnesses of DFS(X,Y) at n={n}"
     for p, small_row, big_row in zip(small.vertices, small.adjacency, big.adjacency):
         big_witnesses = {(w.a, w.b): w.multiplicity for w in big_row}
@@ -174,24 +174,23 @@ def verify_subgraph_monotonicity(
 
 
 def verify_edge_removal(
-    X_graph: Digraph, Y_graph: Digraph, a: int, b: int, bound: int | None = IDENTITY_BOUND
+    X_graph: Digraph, Y_graph: Digraph, a: int, b: int, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """Removing one copy of a -> b from X:
     x*ODP(X',Y) = x*ODP(X,Y) - (x-1)*ODP(X,Y)_{a->b}, exactly."""
     if X_graph.multiplicity(a, b) == 0:
         raise ValueError(f"edge {a}->{b} is not present in X")
-    check_bound("edge removal identity", X_graph.n, bound)
     removed = X_graph.remove_edge(a, b)
-    lhs = X * odp(removed, Y_graph, bound=None)
-    rhs = X * odp(X_graph, Y_graph, bound=None) - (X - ONE) * odp_edge_slice(
-        X_graph, Y_graph, a, b, bound=None
+    lhs = X * odp(removed, Y_graph, bound=bound)
+    rhs = X * odp(X_graph, Y_graph, bound=bound) - (X - ONE) * odp_edge_slice(
+        X_graph, Y_graph, a, b, bound=bound
     )
     return _poly_verdict(lhs, rhs, f"polynomial identity over S_{X_graph.n}, edge {a}->{b}",
                          f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, edge {a}->{b}")
 
 
 def verify_self_equivalent_slice(
-    X_graph: Digraph, Y_graph: Digraph, a: int, b: int, bound: int | None = IDENTITY_BOUND
+    X_graph: Digraph, Y_graph: Digraph, a: int, b: int, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """For a self-equivalent pair {a, b} with a -> b in X:
     ODP(X,Y)_{a->b} = x * ODP(X,Y)_{b->a}.
@@ -207,15 +206,14 @@ def verify_self_equivalent_slice(
         raise ValueError(f"edge {a}->{b} is not present in X")
     if not X_graph.is_self_equivalent({a, b}):
         raise ValueError(f"certificate failure: {{{a},{b}}} is not self-equivalent in X")
-    check_bound("self-equivalent slice identity", X_graph.n, bound)
-    lhs = odp_edge_slice(X_graph, Y_graph, a, b, bound=None)
-    rhs = X * odp_edge_slice(X_graph, Y_graph, b, a, bound=None)
+    lhs = odp_edge_slice(X_graph, Y_graph, a, b, bound=bound)
+    rhs = X * odp_edge_slice(X_graph, Y_graph, b, a, bound=bound)
     return _poly_verdict(lhs, rhs, f"slice identity over S_{X_graph.n}, pair ({a},{b})",
                          f"X={X_graph.to_json()}, Y={Y_graph.to_json()}, pair ({a},{b})")
 
 
 def verify_point_squish(
-    X_graph: Digraph, Y_graph: Digraph, a: int, b: int, bound: int | None = IDENTITY_BOUND
+    X_graph: Digraph, Y_graph: Digraph, a: int, b: int, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """For a sink-equivalent pair {a, b} with a -> b in X:
     ODP(X,Y)_{a->b} = x * sum over edges u->v of Y of
@@ -240,8 +238,7 @@ def verify_point_squish(
     if not X_graph.is_sink_equivalent({a, b}):
         raise ValueError(f"certificate failure: {{{a},{b}}} is not sink-equivalent in X")
     n = X_graph.n
-    check_bound("point squishing identity", n, bound)
-    lhs = odp_edge_slice(X_graph, Y_graph, a, b, bound=None)
+    lhs = odp_edge_slice(X_graph, Y_graph, a, b, bound=bound)
     reduced = X_graph.delete_vertices({b})
     a_reduced = a - 1 if a > b else a
     total = Polynomial(())
@@ -250,7 +247,7 @@ def verify_point_squish(
             continue
         contracted = Y_graph.contract(u, v)
         u_reduced = u - 1 if u > v else u
-        total = total + mult * odp_assign_slice(reduced, contracted, a_reduced, u_reduced, bound=None)
+        total = total + mult * odp_assign_slice(reduced, contracted, a_reduced, u_reduced, bound=bound)
     rhs = X * total
     return _poly_verdict(lhs, rhs,
                          f"slice identity over S_{n}, pair ({a},{b}), {Y_graph.total_edges()} Y-edges",
@@ -288,7 +285,8 @@ def _verify_worpitzky(name: str, X_graph: Digraph, min_n: int, walk: Callable[[i
     n = X_graph.n
     if n < min_n:
         raise ValueError(f"the {name} requires n >= {min_n}")
-    check_bound(name, n, bound)
+    if bound is not None and n > bound:
+        raise BoundExceededError(f"{name}: n={n} is above the identity bound {bound}")
     complement = X_graph.complement()
     certificates = {"x_chordal": find_chordal_labeling(X_graph) is not None, "complement_peo": is_peo(complement)}
     lhs = expand_over_one_minus_x(odp(X_graph, walk(n), bound=None), k, truncation)
@@ -316,7 +314,7 @@ def verify_path_identity(
 
 
 def verify_cycle_base(
-    n: int, truncation: int = DEFAULT_TRUNCATION, bound: int | None = IDENTITY_BOUND
+    n: int, truncation: int = DEFAULT_TRUNCATION, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """ODP(Tour_n, Cycle_n) / (1-x)^n = n * sum m^(n-1) x^m (0^0 = 1),
     plus the intermediate claim ODP(Tour_n, Cycle_n) = n*x*A_{n-1}.
@@ -324,16 +322,13 @@ def verify_cycle_base(
     n = 1 is the degenerate 1/(1-x) = sum x^m case from the theorem's
     own proof; the intermediate claim starts at n = 2.
     """
-    from .polynomials import eulerian_poly
-
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    check_bound("cycle base identity", n, bound)
     rng = f"prefix m=0..{truncation} at n={n}"
     if n == 1:
         odp_poly = ONE
     else:
-        odp_poly = odp(tour(n), cycle(n), bound=None)
+        odp_poly = odp(tour(n), cycle(n), bound=bound)
         claimed = n * X * eulerian_poly(n - 1)
         if odp_poly != claimed:
             return Verdict(
@@ -375,7 +370,7 @@ def verify_cycle_identity(
 
 
 def verify_generalized_equals_odp(
-    graph: Digraph, cyclic: bool, bound: int | None = ODP_BOUND
+    graph: Digraph, cyclic: bool, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """The generalized (cyclic) Eulerian polynomial of G equals the ODP
     of (Path_n or Cycle_n, X_G), where X_G orients every underlying edge
@@ -386,8 +381,6 @@ def verify_generalized_equals_odp(
     path or cycle frontier (or streams its own edge tests where n! is
     cheaper), so the check stays a test of the theorem, not of one loop
     against itself."""
-    from .polynomials import generalized_eulerian_poly
-
     n = graph.n
     # the left side's enumeration checks the bound before it starts
     lhs = generalized_eulerian_poly(graph, cyclic, bound=bound)
@@ -454,7 +447,7 @@ def sweep_identity(
     n: int,
     truncation: int = DEFAULT_TRUNCATION,
     which: str = "path",
-    bound: int | None = SWEEP_BOUND,
+    bound: int | None = WORK_BOUND,
 ) -> list[SweepRow]:
     """Run the path or cycle identity over every simple labeled acyclic
     graph on 1..n, recording both chordality certificates per graph.
@@ -482,11 +475,13 @@ def sweep_identity(
     per row the complement's PEO test.  A class's rows are found by
     walking its representative's topological orders, at most n! of them
     (the edgeless graph), each giving one row's mask.  A verdict waits
-    in ``pending`` only until its row is emitted.
+    in ``pending`` only until its row is emitted.  The price checked
+    against ``bound`` is a stream-priced verification per row,
+    2^(n(n-1)/2) * n! * (n+1) steps.
     """
     if which not in ("path", "cycle"):
         raise ValueError(f"unknown identity kind {which!r}")
-    check_bound("identity sweep", n, bound)
+    check_bound("identity sweep", 2 ** (n * (n - 1) // 2) * factorial(n) * (n + 1), bound)
     verifier = verify_path_identity if which == "path" else verify_cycle_identity
     # graph_id's bit for each edge, as enumerate_labeled_acyclic numbers them
     bit = {(u, v): 1 << i for i, (u, v, _) in enumerate(tour(n).edge_counts)}

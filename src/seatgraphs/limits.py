@@ -1,30 +1,25 @@
-"""Resource bounds, of two kinds, each with one owner.
+"""Resource bounds: one work budget, one n bound, one input bound.
 
-Work bounds cap the n of an operation that walks S_n or a family of
-graphs.  Each is checked only by the operation that does the work, at
-its own default below, before the work starts; a caller (and the CLI's
---unsafe-bounds flag) may pass a larger bound, or None to disable the
-check.  A verifier that calls a bounded operation either passes its own
-bound down or, when it adds work of its own, checks it first.
-
-The input bound caps the size of what the CLI builds from one argument
-(a graph spec's n, the top of a `table --n` range, the truncation M).
-The CLI checks it in one place, before anything of that size is built;
---unsafe-bounds lifts it too.
+The work bound is a budget of priced steps.  Each operation that walks
+S_n or a family of graphs checks its price before the work starts:
+``odp`` and its slices the sum over their parts of the plan ``dfsgraph``
+takes (F! times one more than the edge count for a stream);
+``generalized_eulerian_poly`` n! * n; ``materialize`` n! * (n + 5a) for
+X's a non-loop arcs; the sweep 2^(n(n-1)/2) * n! * (n+1), a stream-priced
+verification per row; ``table eulerian`` the sum of k^2 over its range.
+A verifier that only calls priced operations passes its bound down.  The
+identity bound caps n for the path and cycle identities, because chi by
+deletion-contraction has no price.  The input bound caps what the CLI
+builds from one argument (a graph spec's n, a `--n`, the top of a
+`table --n` range, the truncation M) before building it.  A caller may
+pass any bound, or None for none; --unsafe-bounds lifts all three.
 """
 
-# n! streams (implicit ODP sweeps, G-descent counts: `odp`, its slices,
-# `generalized_eulerian_poly`)
-ODP_BOUND = 10
+# Priced steps.  On a 2-vCPU host (Python 3.11) an odp step took 12-110 ns
+# and a step of the other prices 0.3-0.5 us: 1-20 s at the budget
+WORK_BOUND = 5 * 10**7
 
-# Full n!-vertex graph construction and the comparisons built on it
-# (`materialize`, automorphism, acyclicity, subgraph monotonicity)
-MATERIALIZE_BOUND = 7
-
-# Exhaustive 2^(n(n-1)/2) family sweeps
-SWEEP_BOUND = 4
-
-# Series-identity verifiers
+# n of the path and cycle identity verifiers
 IDENTITY_BOUND = 8
 
 # Largest size the CLI builds from one argument: tour:700 (244 650
@@ -39,6 +34,9 @@ class BoundExceededError(Exception):
     """Work or an input beyond its configured bound."""
 
 
-def check_bound(what: str, n: int, bound: int | None) -> None:
-    if bound is not None and n > bound:
-        raise BoundExceededError(f"{what}: n={n} exceeds the configured bound {bound}")
+def check_bound(what: str, steps: int, bound: int | None) -> None:
+    if bound is not None and steps > bound:
+        # past 10^15 a power of ten below steps (2^(b-1) <= steps < 2^b, 0.301 < log10 2):
+        # a sweep's price can have more digits than Python turns into a string
+        shown = steps if steps <= 10**15 else f"more than 10^{int((steps.bit_length() - 1) * 0.301)}"
+        raise BoundExceededError(f"{what} would take {shown} steps, above the work bound {bound}")

@@ -23,7 +23,7 @@ Perm = tuple[int, ...]
 
 def enumerate_perms(n: int) -> Iterator[Perm]:
     """All n! permutations of 1..n in lexicographic order, lazily: the
-    caller that walks them owns the bound on n."""
+    caller that walks them prices that walk against the work bound."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     return _itertools_permutations(range(1, n + 1))

@@ -11,10 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from math import factorial
 from operator import index
 
 from .digraph import Digraph
-from .limits import ODP_BOUND, check_bound
+from .limits import WORK_BOUND, check_bound
 from .permutations import enumerate_perms, g_cyclic_descent_count, g_descent_count
 
 
@@ -196,11 +197,11 @@ def eulerian_poly(n: int) -> Polynomial:
     return Polynomial(tuple(row))
 
 
-def generalized_eulerian_poly(graph: Digraph, cyclic: bool, bound: int | None = ODP_BOUND) -> Polynomial:
+def generalized_eulerian_poly(graph: Digraph, cyclic: bool, bound: int | None = WORK_BOUND) -> Polynomial:
     """Sum of x^(G-descents) over S_n; cyclic counts descents mod n.  The
-    public statistic is called once per permutation."""
+    public statistic, n steps, is called once per permutation."""
     n = graph.n
-    check_bound("generalized Eulerian polynomial", n, bound)
+    check_bound("generalized Eulerian polynomial", factorial(n) * n, bound)
     stat = g_cyclic_descent_count if cyclic else g_descent_count
     counts = Counter(map(stat, enumerate_perms(n), repeat(graph)))
     return Polynomial(tuple(counts[m] for m in range(max(counts) + 1)))

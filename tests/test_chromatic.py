@@ -344,8 +344,11 @@ class TestChordalSequence:
         assert [s.removed for s in seq.steps] == [(3, 2), (2, 1), (3, 1), None]
 
     def test_single_edge_graph(self):
-        seq = chordal_sequence(Digraph.from_edges(3, [(2, 1)]))
+        # of the three single-edge X on 1..3, only 3 -> 1 leaves a
+        # complement that is a PEO as labeled
+        seq = chordal_sequence(Digraph.from_edges(3, [(3, 1)]))
         assert seq.length == 3
+        assert seq.all_certificates_pass()
 
     def test_one_edge_difference_invariant(self):
         for _, x in enumerate_labeled_acyclic(4):
@@ -396,8 +399,22 @@ class TestChordalSequence:
         with pytest.raises(ValueError):
             chordal_sequence(x)
 
+    def test_complement_peo_only_under_another_labeling_is_rejected(self):
+        # X whose complement has an interval-clique labeling but is not a
+        # PEO as labeled: none of them has a sequence whose certificates
+        # all pass, so each is refused on the hypothesis
+        refused = 0
+        for n in range(1, 6):
+            for _, x in enumerate_labeled_acyclic(n):
+                comp = x.complement()
+                if not is_peo(comp) and find_chordal_labeling(comp) is not None:
+                    with pytest.raises(ValueError, match="hypothesis failure"):
+                        chordal_sequence(x)
+                    refused += 1
+        assert refused == 641
+
     def test_json_shape(self):
-        seq = chordal_sequence(Digraph.from_edges(3, [(2, 1)]))
+        seq = chordal_sequence(Digraph.from_edges(3, [(3, 1)]))
         obj = seq.to_json_obj()
         assert obj[0]["graph"] == {"n": 3, "edges": [[2, 1], [3, 1], [3, 2]]}
         assert obj[-1]["removed"] is None

@@ -127,26 +127,28 @@ class TestOdp:
 
 
 class TestBounds:
-    # each bounded command at the first n its operation refuses, plus the
-    # cheap --unsafe-bounds rows; a sweep row may fail its identity (exit 1)
+    # each bounded command at the first tour/path/cycle n its operation's
+    # price refuses, plus the cheap --unsafe-bounds rows; a sweep row may
+    # fail its identity (exit 1)
     @pytest.mark.parametrize("argv, codes", [
-        pytest.param(("odp", "tour:11", "path:11"), {3}, id="odp"),
-        pytest.param(("odp", "tour:11", "path:11", "--slice", "edge:2,1"), {3}, id="odp-edge-slice"),
-        pytest.param(("odp", "tour:11", "path:11", "--slice", "assign:1,1"), {3}, id="odp-assign-slice"),
-        pytest.param(("dfs", "tour:8", "tour:8"), {3}, id="dfs"),
-        pytest.param(("verify", "sweep", "--n", "5"), {3}, id="sweep"),
-        pytest.param(("verify", "automorphism", "--x", "tour:8", "--y", "tour:8"), {3}, id="automorphism"),
-        pytest.param(("verify", "acyclic", "--x", "tour:8", "--y", "tour:8"), {3}, id="acyclic"),
-        pytest.param(("verify", "edge-removal", "--x", "tour:9", "--y", "path:9", "--edge", "2,1"), {3},
+        pytest.param(("odp", "tour:11", "tour:11"), {3}, id="odp"),
+        pytest.param(("odp", "tour:11", "tour:11", "--slice", "edge:2,1"), {3}, id="odp-edge-slice"),
+        pytest.param(("odp", "tour:11", "tour:11", "--slice", "assign:1,1"), {3}, id="odp-assign-slice"),
+        pytest.param(("dfs", "tour:9", "tour:9"), {3}, id="dfs"),
+        pytest.param(("verify", "sweep", "--n", "6"), {3}, id="sweep"),
+        pytest.param(("verify", "automorphism", "--x", "tour:9", "--y", "tour:9"), {3}, id="automorphism"),
+        pytest.param(("verify", "acyclic", "--x", "tour:9", "--y", "tour:9"), {3}, id="acyclic"),
+        pytest.param(("verify", "edge-removal", "--x", "tour:11", "--y", "tour:11", "--edge", "2,1"), {3},
                      id="edge-removal"),
-        pytest.param(("verify", "self-slice", "--x", "tour:9", "--y", "path:9", "--pair", "2,1"), {3},
+        pytest.param(("verify", "self-slice", "--x", "tour:11", "--y", "tour:11", "--pair", "2,1"), {3},
                      id="self-slice"),
-        pytest.param(("verify", "squish", "--x", "tour:9", "--y", "path:9", "--pair", "2,1"), {3}, id="squish"),
+        pytest.param(("verify", "squish", "--x", "tour:11", "--y", "tour:11", "--pair", "2,1"), {3}, id="squish"),
+        # chi has no price: the path and cycle identities keep a bound on n
         pytest.param(("verify", "path-identity", "--graph", "tour:9"), {3}, id="path-identity"),
-        pytest.param(("verify", "cycle-base", "--n", "9"), {3}, id="cycle-base"),
+        pytest.param(("verify", "cycle-base", "--n", "14"), {3}, id="cycle-base"),
         pytest.param(("verify", "cycle-identity", "--graph", "tour:9"), {3}, id="cycle-identity"),
         pytest.param(("verify", "gen-eulerian", "--graph", "tour:11"), {3}, id="gen-eulerian"),
-        # the Eulerian table is a recurrence and has no bound
+        # the Eulerian table is a recurrence: 22 140 steps
         pytest.param(("table", "eulerian", "--n", "1..40"), {0}, id="table-eulerian"),
         pytest.param(("table", "cyclic-eulerian", "--n", "11"), {3}, id="table-cyclic-eulerian"),
         pytest.param(("gen", "tour:701"), {3}, id="gen"),
@@ -195,6 +197,17 @@ class TestBoundBeforeBuilding:
         r = run_cli_in_1gb(*argv)
         assert r.returncode == 3
         assert "bound" in r.stderr and "Traceback" not in r.stderr
+
+    # arguments within the input bound whose work is priced past the work
+    # bound: refused before the walk is planned or the first row is built
+    @pytest.mark.parametrize("argv", [
+        ("table", "eulerian", "--n", "1..700"),
+        ("odp", "tour:700", "tour:700"),
+    ], ids=["table-eulerian", "odp-tour700"])
+    def test_priced_work_exits_3(self, argv):
+        r = run_cli_in_1gb(*argv)
+        assert r.returncode == 3
+        assert "work bound" in r.stderr and "Traceback" not in r.stderr
 
     def test_oversized_file_spec_exits_3(self, tmp_path):
         spec = tmp_path / "big.json"

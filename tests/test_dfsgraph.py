@@ -17,7 +17,7 @@ from seatgraphs.dfsgraph import (
     out_neighbors,
     outdegree,
 )
-from seatgraphs.limits import BoundExceededError
+from seatgraphs.limits import WORK_BOUND, BoundExceededError
 from seatgraphs.permutations import enumerate_perms, inverse
 from seatgraphs.polynomials import X, Polynomial, eulerian_poly
 
@@ -73,7 +73,7 @@ def kernel_pairs():
 
 def kernel_path(x, y, pinned):
     """How the kernel takes the pinned sum for (x, y), by its own price."""
-    plan, side = dfsgraph._choose(x, y, pinned)
+    _, plan, side = dfsgraph._choose(x, y, pinned)
     if plan is None:
         return "stream"
     if plan.part is not None:
@@ -207,7 +207,7 @@ class TestKernelPaths:
         # states of the widest level exceed the cap, yet no pin would
         # merge any of them
         g = Digraph.from_edges(15, [])
-        plan, _ = dfsgraph._choose(g, g, {})
+        _, plan, _ = dfsgraph._choose(g, g, {})
         assert plan is not None and plan.pin is None
         assert odp(g, g, bound=None) == Polynomial((factorial(15),))
 
@@ -216,7 +216,7 @@ class TestKernelPaths:
         # bare subsets, is over this cap
         monkeypatch.setattr(dfsgraph, "_STATE_CAP", 4096)
         g = Digraph.from_edges(15, [])
-        plan, _ = dfsgraph._choose(g, g, {})
+        _, plan, _ = dfsgraph._choose(g, g, {})
         assert plan is not None and plan.pin is None
         assert odp(g, g, bound=None) == Polynomial((factorial(15),))
 
@@ -333,7 +333,36 @@ class TestOdp:
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
-            odp(tour(11), path(11))
+            odp(tour(11), tour(11))
+
+
+class TestWorkBound:
+    """odp and its slices price every part by the plan it would take and
+    check the sum before any part runs.  The kernels are stubbed, so only
+    the pricing and planning run."""
+
+    def test_no_input_at_n9_is_refused(self, monkeypatch):
+        monkeypatch.setattr(dfsgraph, "_stream", lambda *args: 0)
+        monkeypatch.setattr(dfsgraph, "_run", lambda *args: 0)
+        # every ordered pair twice, on both sides: the stream's price,
+        # 9! * 73, bounds every sum and slice at n <= 9 from above
+        ordered = [(u, v) for u in range(1, 10) for v in range(1, 10) if u != v]
+        g = Digraph.from_edges(9, ordered * 2)
+        assert dfsgraph._choose(g, g, {})[0] <= factorial(9) * 73 <= WORK_BOUND
+        assert odp(g, g).is_zero()
+        assert odp_edge_slice(g, g, 2, 1).is_zero()
+        assert odp_assign_slice(g, g, 1, 1).is_zero()
+
+    def test_slice_refused_before_any_part_runs(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a part ran before the slice was priced")
+
+        monkeypatch.setattr(dfsgraph, "_stream", never)
+        monkeypatch.setattr(dfsgraph, "_run", never)
+        # 55 parts, one per edge u -> v of Tour_11, each within the bound alone
+        assert dfsgraph._choose(tour(11), tour(11), {2: 2, 1: 1})[0] <= WORK_BOUND
+        with pytest.raises(BoundExceededError, match=r"ODP edge slice would take \d+ steps"):
+            odp_edge_slice(tour(11), tour(11), 2, 1)
 
 
 class TestEdgeSlice:
@@ -462,8 +491,9 @@ class TestMaterialize:
         assert a.to_json() == b.to_json()
 
     def test_bound_enforced(self):
+        # 9! * (9 + 5 * 36) steps
         with pytest.raises(BoundExceededError):
-            materialize(tour(8), path(8))
+            materialize(tour(9), path(9))
 
 
 def family_pairs():
