@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from itertools import accumulate
 from pathlib import Path
 
 from .digraph import Digraph, cycle, path, tour
@@ -41,7 +42,7 @@ from .identities import (
     verify_self_equivalent_slice,
 )
 from .limits import DEFAULT_TRUNCATION, INPUT_BOUND, WORK_BOUND, BoundExceededError, check_bound
-from .polynomials import eulerian_poly, generalized_eulerian_poly
+from .polynomials import eulerian_poly, eulerian_step, generalized_eulerian_poly
 
 _FAMILY_RE = re.compile(r"(tour|path|cycle):(\d+)")
 _FAMILIES = {"tour": tour, "path": path, "cycle": cycle}
@@ -330,18 +331,19 @@ def run_verify(args) -> tuple[str, int]:
 def run_table(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.n)
     _check_input("the top of --n", hi, args.unsafe_bounds)
-    if args.kind == "eulerian" and not args.unsafe_bounds:
-        # row k of the recurrence is k^2 steps; a cyclic row prices itself
-        check_bound(f"table eulerian --n {args.n}", sum(k * k for k in range(lo, hi + 1)), WORK_BOUND)
+    if args.kind == "eulerian":
+        if not args.unsafe_bounds:
+            # k^2 steps for row k: k coefficients of about k log k bits
+            check_bound(f"table eulerian --n {args.n}", sum(k * k for k in range(lo, hi + 1)), WORK_BOUND)
+        rows = accumulate(range(lo + 1, hi + 1), eulerian_step, initial=eulerian_poly(lo))
+    elif lo < 2:
+        raise UsageError("cyclic-eulerian tables start at n=2")
+    else:
+        # top row first: it is the dearest, so a range past the bound computes no row
+        rows = [generalized_eulerian_poly(tour(n), cyclic=True, **_unsafe(args)) for n in range(hi, lo - 1, -1)][::-1]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for n in range(lo, hi + 1):
-        if args.kind == "eulerian":
-            poly = eulerian_poly(n)
-        elif n < 2:
-            raise UsageError("cyclic-eulerian tables start at n=2")
-        else:
-            poly = generalized_eulerian_poly(tour(n), cyclic=True, **_unsafe(args))
+    for n, poly in zip(range(lo, hi + 1), rows):
         with _exact_digits():
             writer.writerow([poly[m] for m in range(n)])
     return buf.getvalue(), 0

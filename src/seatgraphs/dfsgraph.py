@@ -46,15 +46,15 @@ small n (where n! beats any state table) and graphs wide on both sides
 are handled.  A sum's price against the work bound is its parts' chosen
 prices (one part per Y-edge for an edge slice), checked before any runs.
 
-``materialize`` exists for inspection and DOT/JSON export at small n.  It
-pays for its output: n! vertices and one witness per edge (52 920 for
-Tour_7 against Tour_7).  What the edge rule reads, X's non-loop edges
-and Y's multiplicity grid, is built once per pair, and each X-edge
-carries an ``itemgetter`` that swaps its two positions.  Every witness's
-target is the vertex object found through the index, not a copy, and
-each witness is built by ``tuple.__new__``.  ``MaterializedDfs`` finds
-each target's index once, for the acyclicity test and the potential
-check to share.
+``materialize`` serves DOT/JSON export and the acyclicity check only;
+the other checks take one vertex's ``witness_rows`` at a time.  It pays
+for its output: n! vertices and one witness per edge (52 920 for Tour_7
+against Tour_7).  What the edge rule reads, X's non-loop edges and Y's
+multiplicity grid, is built once per pair, and each X-edge carries an
+``itemgetter`` that swaps its two positions.  Every witness's target is
+the vertex object found through the index, not a copy, and each witness
+is built by ``tuple.__new__``.  ``MaterializedDfs`` finds each target's
+index once, for the acyclicity test and the potential check to share.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ from functools import cached_property
 from itertools import permutations, zip_longest
 from math import comb, factorial, perm
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .digraph import Digraph
 from .limits import WORK_BOUND, check_bound
@@ -156,6 +156,20 @@ def _witnesses(p: Perm, arcs: list, grid: list[list[int]],
             target = swap(p)
             out.append(new(DfsEdgeWitness, (p, a, b, target if vertex is None else vertex[target], mx * my)))
     return out
+
+
+def _visit_price(X: Digraph, Y: Digraph) -> int:
+    """n! * (n + 5a) for X's a non-loop arcs: each vertex and each witness."""
+    n = _check_same_n(X, Y)
+    return factorial(n) * (n + 5 * sum(a != b for a, b, _ in X.edge_counts))
+
+
+def witness_rows(pairs: list[tuple[Digraph, Digraph]], what: str, bound: int | None = WORK_BOUND) -> list[Callable]:
+    """One function per pair (X, Y), from a vertex p of DFS(X, Y), unchecked,
+    to the witnesses out of p in (a, b) order.  Visiting every vertex of
+    every pair is priced as one sum before any edge rule is built."""
+    check_bound(what, sum(_visit_price(X, Y) for X, Y in pairs), bound)
+    return [lambda p, rule=_witness_rule(X, Y): _witnesses(p, *rule) for X, Y in pairs]
 
 
 def outdegree(X: Digraph, Y: Digraph, p: Perm) -> int:
@@ -447,21 +461,11 @@ class MaterializedDfs:
 
     index: dict[Perm, int] = field(repr=False, compare=False)
 
-    def index_of(self, p: Perm) -> int:
-        return self.index[p]
-
     def edge_multiplicity(self, src: Perm, dst: Perm) -> int:
-        return sum(w.multiplicity for w in self.adjacency[self.index_of(src)] if w.target == dst)
+        return sum(w.multiplicity for w in self.adjacency[self.index[src]] if w.target == dst)
 
     def total_edge_multiplicity(self) -> int:
         return sum(w.multiplicity for row in self.adjacency for w in row)
-
-    def outdegree(self, p: Perm) -> int:
-        return sum(w.multiplicity for w in self.adjacency[self.index_of(p)])
-
-    def edges(self) -> Iterator[DfsEdgeWitness]:
-        for row in self.adjacency:
-            yield from row
 
     @cached_property
     def target_indices(self) -> tuple[tuple[int, ...], ...]:
@@ -495,7 +499,7 @@ class MaterializedDfs:
             "edges": [
                 {
                     "from": i,
-                    "to": self.index_of(w.target),
+                    "to": self.index[w.target],
                     "a": w.a,
                     "b": w.b,
                     "mult": w.multiplicity,
@@ -529,8 +533,8 @@ def materialize(X: Digraph, Y: Digraph, bound: int | None = WORK_BOUND) -> Mater
     """Build the full DFS(X, Y) graph (n! vertices).  Every witness's
     target is the vertex object itself.  Priced at n! * (n + 5a) for the
     a non-loop arcs of X: each vertex, and each witness it may store."""
-    n = _check_same_n(X, Y)
-    check_bound("DFS materialization", factorial(n) * (n + 5 * sum(a != b for a, b, _ in X.edge_counts)), bound)
+    check_bound("DFS materialization", _visit_price(X, Y), bound)
+    n = X.n
     vertices = tuple(enumerate_perms(n))
     arcs, grid = _witness_rule(X, Y)
     vertex = {p: p for p in vertices}

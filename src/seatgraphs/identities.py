@@ -11,15 +11,16 @@ preconditions (certificates) and resource bounds.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterable
 
 from .chromatic import chromatic_poly, enumerate_labeled_acyclic, find_chordal_labeling, is_peo
 from .digraph import Digraph, cycle, path, tour
-from .dfsgraph import materialize, odp, odp_assign_slice, odp_edge_slice
+from .dfsgraph import materialize, odp, odp_assign_slice, odp_edge_slice, witness_rows
 from .limits import DEFAULT_TRUNCATION, IDENTITY_BOUND, WORK_BOUND, BoundExceededError, check_bound
-from .permutations import inverse
+from .permutations import enumerate_perms, inverse
 from .polynomials import ONE, X, Polynomial, SeriesPrefix, eulerian_poly, expand_over_one_minus_x, generalized_eulerian_poly
 
 
@@ -69,39 +70,32 @@ def _perm_str(p) -> str:
     return ",".join(str(v) for v in p)
 
 
-def _witness_multiplicities(dfs) -> dict:
-    """(source, target) -> summed witness multiplicity."""
-    mult: dict = {}
-    for w in dfs.edges():
-        key = (w.source, w.target)
-        mult[key] = mult.get(key, 0) + w.multiplicity
-    return mult
-
-
 def verify_automorphism(
     X_graph: Digraph, Y_graph: Digraph, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """Inversion is a multiplicity-preserving edge bijection between
-    DFS(X, Y) and DFS(Y, X)."""
+    DFS(X, Y) and DFS(Y, X): tau's witnesses in DFS(Y, X) are tau^-1's in DFS(X, Y), inverted."""
     n = X_graph.n
-    left = materialize(X_graph, Y_graph, bound=bound)
-    mult_right = _witness_multiplicities(materialize(Y_graph, X_graph, bound=bound))
-    inverted = {p: inverse(p) for p in left.vertices}
-    mapped = {(inverted[s], inverted[t]): m for (s, t), m in _witness_multiplicities(left).items()}
+    forward, backward = witness_rows([(X_graph, Y_graph), (Y_graph, X_graph)], "automorphism check", bound)
     rng = f"all {n}!x{n}! vertex pairs of DFS(X,Y) against DFS(Y,X)"
-    bad = [key for key in mapped.keys() | mult_right.keys() if mapped.get(key, 0) != mult_right.get(key, 0)]
-    if not bad:
-        return Verdict(True, rng)
-    s, t = key = min(bad)
-    return Verdict(
-        False,
-        rng,
-        Counterexample(
-            inputs=f"edge {_perm_str(s)} -> {_perm_str(t)}",
-            lhs=f"multiplicity {mapped.get(key, 0)} mapped from DFS(X,Y)",
-            rhs=f"multiplicity {mult_right.get(key, 0)} in DFS(Y,X)",
-        ),
-    )
+    for tau in enumerate_perms(n):  # lexicographic, so the smallest mismatched source comes first
+        mapped, right = defaultdict(int), defaultdict(int)
+        for w in forward(inverse(tau)):
+            mapped[inverse(w.target)] += w.multiplicity
+        for w in backward(tau):
+            right[w.target] += w.multiplicity
+        if mapped != right:
+            t = min(t for t in mapped.keys() | right.keys() if mapped[t] != right[t])
+            return Verdict(
+                False,
+                rng,
+                Counterexample(
+                    inputs=f"edge {_perm_str(tau)} -> {_perm_str(t)}",
+                    lhs=f"multiplicity {mapped[t]} mapped from DFS(X,Y)",
+                    rhs=f"multiplicity {right[t]} in DFS(Y,X)",
+                ),
+            )
+    return Verdict(True, rng)
 
 
 def verify_acyclic_potential(
@@ -154,12 +148,11 @@ def verify_subgraph_monotonicity(
             if big.multiplicity(u, v) < m:
                 raise ValueError(f"{name} is not a sub-multigraph of {name}'")
     n = X_small.n
-    big = materialize(X_big, Y_big, bound=bound)
-    small = materialize(X_small, Y_small, bound=bound)
+    big_rows, small_rows = witness_rows([(X_big, Y_big), (X_small, Y_small)], "monotonicity check", bound)
     rng = f"all witnesses of DFS(X,Y) at n={n}"
-    for p, small_row, big_row in zip(small.vertices, small.adjacency, big.adjacency):
-        big_witnesses = {(w.a, w.b): w.multiplicity for w in big_row}
-        for w in small_row:
+    for p in enumerate_perms(n):
+        big_witnesses = {(w.a, w.b): w.multiplicity for w in big_rows(p)}
+        for w in small_rows(p):
             if big_witnesses.get((w.a, w.b), 0) < w.multiplicity:
                 return Verdict(
                     False,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, repeat
 from math import factorial
 from operator import index
@@ -182,19 +183,17 @@ def eulerian_poly(n: int) -> Polynomial:
     """The Eulerian polynomial: coefficient m counts permutations of S_n
     with exactly m descents.
 
-    Computed by the classical recurrence
-    A(n, m) = (m+1) A(n-1, m) + (n-m) A(n-1, m-1); the test suite pins
-    it against brute-force descent counting.
+    Computed by the classical recurrence, one ``eulerian_step`` per
+    size; the test suite pins it against brute-force descent counting.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    row = [1]
-    for size in range(2, n + 1):
-        row = [
-            (m + 1) * (row[m] if m < len(row) else 0) + (size - m) * (row[m - 1] if m >= 1 else 0)
-            for m in range(size)
-        ]
-    return Polynomial(tuple(row))
+    return reduce(eulerian_step, range(2, n + 1), ONE)
+
+
+def eulerian_step(previous: Polynomial, n: int) -> Polynomial:
+    """A_n from A_(n-1): A(n, m) = (m+1) A(n-1, m) + (n-m) A(n-1, m-1)."""
+    return Polynomial(tuple((m + 1) * previous[m] + (n - m) * previous[m - 1] for m in range(n)))
 
 
 def generalized_eulerian_poly(graph: Digraph, cyclic: bool, bound: int | None = WORK_BOUND) -> Polynomial:

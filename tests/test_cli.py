@@ -441,6 +441,32 @@ class TestTable:
         r = run_cli("table", "eulerian", "--n", "4..2")
         assert r.returncode == 2
 
+    def test_eulerian_recurrence_runs_once_across_the_range(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return polynomials.eulerian_poly(n)
+
+        monkeypatch.setattr(cli, "eulerian_poly", counted)
+        assert cli.main(["table", "eulerian", "--n", "5..30"]) == 0
+        assert calls == [5]
+        assert capsys.readouterr().out == "".join(
+            ",".join(map(str, polynomials.eulerian_poly(n).coeffs)) + "\n" for n in range(5, 31))
+
+    def test_cyclic_range_past_the_bound_computes_no_row(self, monkeypatch):
+        # the top row is the dearest and is priced first, so 8..11 is
+        # refused before rows 8-10 run
+        calls = []
+
+        def counted(graph, cyclic, **kwargs):
+            calls.append(graph.n)
+            return polynomials.generalized_eulerian_poly(graph, cyclic, **kwargs)
+
+        monkeypatch.setattr(cli, "generalized_eulerian_poly", counted)
+        assert cli.main(["table", "cyclic-eulerian", "--n", "8..11"]) == 3
+        assert calls == [11]
+
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="Python before 3.10.7 has no int-to-str limit")

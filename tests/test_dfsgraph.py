@@ -458,8 +458,9 @@ class TestMaterialize:
     def test_sum_outdegrees_equals_sum_indegrees(self):
         dfs = materialize(cycle(4), tour(4))
         indeg = {}
-        for w in dfs.edges():
-            indeg[w.target] = indeg.get(w.target, 0) + w.multiplicity
+        for row in dfs.adjacency:
+            for w in row:
+                indeg[w.target] = indeg.get(w.target, 0) + w.multiplicity
         assert sum(indeg.values()) == dfs.total_edge_multiplicity()
 
     def test_figure5_cycle_under_formal_rule(self):
@@ -545,7 +546,7 @@ class TestMaterializedWitnesses:
         # full DfsEdgeWitness, at n = 2 and on a pair whose X has a
         # self-loop and a parallel edge
         for x, y in [(tour(2), cycle(2)), (cycle(2), cycle(2)), (MULTI_X, MULTI_Y)]:
-            witnesses = list(materialize(x, y).edges())
+            witnesses = [w for row in materialize(x, y).adjacency for w in row]
             assert witnesses
             for w in witnesses:
                 assert type(w) is DfsEdgeWitness

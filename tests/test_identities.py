@@ -5,7 +5,7 @@ import pytest
 from seatgraphs import identities, polynomials
 from seatgraphs.chromatic import enumerate_labeled_acyclic, is_peo
 from seatgraphs.digraph import Digraph, cycle, path, tour
-from seatgraphs.dfsgraph import MaterializedDfs, materialize, odp, odp_assign_slice, odp_edge_slice
+from seatgraphs.dfsgraph import MaterializedDfs, materialize, odp, odp_assign_slice, odp_edge_slice, witness_rows
 from seatgraphs.identities import (
     Verdict,
     sweep_identity,
@@ -34,6 +34,15 @@ def all_simple_digraphs(n):
     pool = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     for mask in range(1 << len(pool)):
         yield Digraph.from_edges(n, [e for i, e in enumerate(pool) if mask >> i & 1])
+
+
+def tampered_rows(tampers):
+    """``witness_rows`` with the row function of each pair in ``tampers``
+    passed through its tamper."""
+    def rows(pairs, what, bound):
+        return [tampers.get(pair, lambda row: row)(row) for pair, row in zip(pairs, witness_rows(pairs, what, bound))]
+
+    return rows
 
 
 class TestVerdict:
@@ -72,16 +81,11 @@ class TestAutomorphism:
     def test_first_mismatched_edge_is_named(self, monkeypatch):
         # DFS(Path_3, Tour_3) with the witness 213 -> 123 dropped and
         # 321 -> 312 tripled: two edges disagree, and the smaller is named
-        def tampered(x, y, bound):
-            dfs = materialize(x, y, bound=bound)
-            if x != path(3):
-                return dfs
-            rows = tuple(tuple(w._replace(multiplicity=3) if (w.source, w.target) == ((3, 2, 1), (3, 1, 2)) else w
-                               for w in row if (w.source, w.target) != ((2, 1, 3), (1, 2, 3)))
-                         for row in dfs.adjacency)
-            return MaterializedDfs(dfs.n, dfs.vertices, rows, dfs.index)
+        def tamper(row):
+            return lambda p: [w._replace(multiplicity=3) if (w.source, w.target) == ((3, 2, 1), (3, 1, 2)) else w
+                              for w in row(p) if (w.source, w.target) != ((2, 1, 3), (1, 2, 3))]
 
-        monkeypatch.setattr(identities, "materialize", tampered)
+        monkeypatch.setattr(identities, "witness_rows", tampered_rows({(path(3), tour(3)): tamper}))
         verdict = verify_automorphism(tour(3), path(3))
         assert not verdict.holds
         assert verdict.counterexample == identities.Counterexample(
@@ -140,6 +144,37 @@ class TestSubgraphMonotonicity:
     def test_rejects_non_subgraph(self):
         with pytest.raises(ValueError):
             verify_subgraph_monotonicity(tour(3), path(3), path(3), path(3))
+
+    def test_first_missing_witness_is_named(self, monkeypatch):
+        # DFS(Path_3, Path_3) inside DFS(Path_3, Cycle_3), with the small
+        # pair's witness at 312, swap (2,3) tripled and the big pair's at
+        # 231, swap (1,2) dropped: the earlier vertex is named
+        def tripled(row):
+            return lambda p: [w._replace(multiplicity=3) if (p, w.a) == ((3, 1, 2), 2) else w for w in row(p)]
+
+        def dropped(row):
+            return lambda p: [w for w in row(p) if (p, w.a) != ((2, 3, 1), 1)]
+
+        small, big = (path(3), path(3)), (path(3), cycle(3))
+        monkeypatch.setattr(identities, "witness_rows", tampered_rows({small: tripled, big: dropped}))
+        verdict = verify_subgraph_monotonicity(path(3), path(3), path(3), cycle(3))
+        assert not verdict.holds
+        assert verdict.counterexample == identities.Counterexample(
+            "sigma=2,3,1, swap pair (1,2)", "multiplicity 1 in DFS(X,Y)", "multiplicity 0 in DFS(X',Y')")
+        monkeypatch.setattr(identities, "witness_rows", tampered_rows({small: tripled}))
+        assert verify_subgraph_monotonicity(path(3), path(3), path(3), cycle(3)).counterexample == (
+            identities.Counterexample(
+                "sigma=3,1,2, swap pair (2,3)", "multiplicity 3 in DFS(X,Y)", "multiplicity 1 in DFS(X',Y')"))
+
+
+def test_inversion_and_monotonicity_checks_never_materialize(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("materialize called")
+
+    monkeypatch.setattr(identities, "materialize", refuse)
+    assert verify_automorphism(tour(4), cycle(4)).holds
+    assert verify_automorphism(cycle(4), tour(4)).holds
+    assert verify_subgraph_monotonicity(path(4), cycle(4), path(4), cycle(4)).holds
 
 
 class TestEdgeRemoval:
