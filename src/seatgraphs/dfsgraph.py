@@ -46,21 +46,19 @@ small n (where n! beats any state table) and graphs wide on both sides
 are handled.  A sum's price against the work bound is its parts' chosen
 prices (one part per Y-edge for an edge slice), checked before any runs.
 
-``materialize`` serves DOT/JSON export and the acyclicity check only;
-the other checks take one vertex's ``witness_rows`` at a time.  It pays
-for its output: n! vertices and one witness per edge (52 920 for Tour_7
-against Tour_7).  What the edge rule reads, X's non-loop edges and Y's
-multiplicity grid, is built once per pair, and each X-edge carries an
-``itemgetter`` that swaps its two positions.  Every witness's target is
-the vertex object found through the index, not a copy, and each witness
-is built by ``tuple.__new__``.  ``MaterializedDfs`` finds each target's
-index once, for the acyclicity test and the potential check to share.
+``materialize`` serves DOT/JSON export only; the checks take one
+vertex's ``witness_rows`` at a time.  It pays for its output: n!
+vertices and one witness per edge (52 920 for Tour_7 against Tour_7).
+What the edge rule reads, X's non-loop edges and Y's multiplicity grid,
+is built once per pair, and each X-edge carries an ``itemgetter`` that
+swaps its two positions.  Every witness's target is the vertex object
+found through the index, not a copy, and each witness is built by
+``tuple.__new__``.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations, zip_longest
 from math import comb, factorial, perm
 from operator import itemgetter
@@ -460,37 +458,6 @@ class MaterializedDfs:
     adjacency: tuple[tuple[DfsEdgeWitness, ...], ...]
 
     index: dict[Perm, int] = field(repr=False, compare=False)
-
-    def edge_multiplicity(self, src: Perm, dst: Perm) -> int:
-        return sum(w.multiplicity for w in self.adjacency[self.index[src]] if w.target == dst)
-
-    def total_edge_multiplicity(self) -> int:
-        return sum(w.multiplicity for row in self.adjacency for w in row)
-
-    @cached_property
-    def target_indices(self) -> tuple[tuple[int, ...], ...]:
-        """``target_indices[i][k]`` is the index of the target of
-        ``adjacency[i][k]``; derived from ``adjacency`` and ``index``, so a
-        hand-built graph gets them right too, and computed once."""
-        index = self.index
-        return tuple([tuple([index[w.target] for w in row]) for row in self.adjacency])
-
-    def is_acyclic(self) -> bool:
-        succ = self.target_indices
-        indeg = [0] * len(self.vertices)
-        for row in succ:
-            for j in row:
-                indeg[j] += 1
-        queue = [i for i, d in enumerate(indeg) if d == 0]
-        removed = 0
-        while queue:
-            i = queue.pop()
-            removed += 1
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        return removed == len(self.vertices)
 
     def to_json_obj(self) -> dict:
         return {

@@ -4,10 +4,12 @@ The work bound is a budget of priced steps.  Each operation that walks
 S_n or a family of graphs checks its price before the work starts:
 ``odp`` and its slices the sum over their parts of the plan ``dfsgraph``
 takes (F! times one more than the edge count for a stream);
-``generalized_eulerian_poly`` n! * n; ``materialize`` n! * (n + 5a) for
-X's a non-loop arcs (summed over two pairs for the inversion and
-monotonicity checks); the sweep 2^(n(n-1)/2) * n! * (n+1), a stream-priced
-verification per row; ``table eulerian`` the sum of k^2 over its range.
+``generalized_eulerian_poly`` n! * n; a visit of DFS(X, Y), n! * (n + 5a)
+for X's a non-loop arcs, whether ``materialize`` exports it or the
+acyclicity, inversion or monotonicity check walks its rows (summed
+over the two pairs the last two compare); the sweep
+2^(n(n-1)/2) * n! * (n+1), a stream-priced verification per row;
+``table eulerian`` the sum of k^2 over its range.
 A verifier that only calls priced operations passes its bound down.  The
 identity bound caps n for the path and cycle identities, because chi by
 deletion-contraction has no price.  The input bound caps what the CLI

@@ -62,6 +62,20 @@ def brute_dfs_witnesses(n, x_edges, y_edges):
     return tuple(out)
 
 
+def has_directed_cycle(arcs):
+    """Does the directed graph with these (tail, head) pairs contain a
+    directed cycle?  Drop every arc whose tail no arc enters until none
+    goes: what is left is empty exactly when the graph is acyclic, since
+    from any arc left one can walk arcs backwards for ever."""
+    arcs = set(arcs)
+    while True:
+        heads = {v for _, v in arcs}
+        kept = {(u, v) for u, v in arcs if u in heads}
+        if kept == arcs:
+            return bool(arcs)
+        arcs = kept
+
+
 def brute_odp(n, x_edges, y_edges):
     """ODP coefficient tuple via full enumeration of S_n."""
     c = Counter(

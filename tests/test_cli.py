@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seatgraphs import cli, polynomials
+from seatgraphs import cli, identities, polynomials
 from seatgraphs.polynomials import Polynomial
 
 
@@ -417,6 +417,15 @@ class TestSweep:
         r = run_cli("verify", "sweep", "--n", "2", "--M", "8", "--identity", "cycle")
         assert r.returncode == 0
         assert len(r.stdout.splitlines()) == 3
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_is_usage_error_before_pricing(self, n, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep was priced")
+
+        monkeypatch.setattr(identities, "check_bound", never)
+        assert cli.main(["verify", "sweep", "--n", n]) == 2
+        assert capsys.readouterr().err == f"seatgraphs: error: n must be a positive integer, got {n}\n"
 
     def test_json_format(self):
         r = run_cli("verify", "sweep", "--n", "2", "--M", "8", "--format", "json")

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from seatgraphs import identities, polynomials
+from seatgraphs import dfsgraph, identities, polynomials
 from seatgraphs.chromatic import enumerate_labeled_acyclic, is_peo
 from seatgraphs.digraph import Digraph, cycle, path, tour
-from seatgraphs.dfsgraph import MaterializedDfs, materialize, odp, odp_assign_slice, odp_edge_slice, witness_rows
+from seatgraphs.dfsgraph import odp, odp_assign_slice, odp_edge_slice, witness_rows
 from seatgraphs.identities import (
     Verdict,
     sweep_identity,
@@ -112,17 +112,20 @@ class TestAcyclicPotential:
 
     def test_potential_rising_along_an_edge_fails(self, monkeypatch):
         # reverse the witness 123 -> 213 of DFS(Tour_3, Tour_3) into the
-        # row of 213: the potential rises along it and nowhere else, and
-        # the graph stays acyclic, so only the edge comparison can see it
-        dfs = materialize(tour(3), tour(3))
-        src, dst = dfs.index[(1, 2, 3)], dfs.index[(2, 1, 3)]
-        (w,) = [w for w in dfs.adjacency[src] if w.target == (2, 1, 3)]
-        adjacency = list(dfs.adjacency)
-        adjacency[src] = tuple(v for v in adjacency[src] if v is not w)
-        adjacency[dst] += (w._replace(source=w.target, target=w.source),)
-        reversed_dfs = MaterializedDfs(dfs.n, dfs.vertices, tuple(adjacency), dfs.index)
-        assert reversed_dfs.is_acyclic()
-        monkeypatch.setattr(identities, "materialize", lambda x, y, bound: reversed_dfs)
+        # row of 213: the potential rises along it and nowhere else
+        def reversed_edge(row):
+            def tampered(p):
+                witnesses = row(p)
+                if p == (1, 2, 3):
+                    return [w for w in witnesses if w.target != (2, 1, 3)]
+                if p == (2, 1, 3):
+                    (w,) = [w for w in row((1, 2, 3)) if w.target == p]
+                    return witnesses + [w._replace(source=w.target, target=w.source)]
+                return witnesses
+
+            return tampered
+
+        monkeypatch.setattr(identities, "witness_rows", tampered_rows({(tour(3), tour(3)): reversed_edge}))
         verdict = verify_acyclic_potential(tour(3), tour(3))
         assert not verdict.holds
         assert verdict.counterexample.inputs == "edge 2,1,3 -> 1,2,3"
@@ -168,13 +171,16 @@ class TestSubgraphMonotonicity:
 
 
 def test_inversion_and_monotonicity_checks_never_materialize(monkeypatch):
+    # the three checks that walk witness rows: inversion, monotonicity, acyclicity
     def refuse(*args, **kwargs):
         raise AssertionError("materialize called")
 
-    monkeypatch.setattr(identities, "materialize", refuse)
+    monkeypatch.setattr(dfsgraph, "materialize", refuse)
+    assert not hasattr(identities, "materialize")
     assert verify_automorphism(tour(4), cycle(4)).holds
     assert verify_automorphism(cycle(4), tour(4)).holds
     assert verify_subgraph_monotonicity(path(4), cycle(4), path(4), cycle(4)).holds
+    assert verify_acyclic_potential(tour(4), tour(4)).holds
 
 
 class TestEdgeRemoval:
