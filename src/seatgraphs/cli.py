@@ -25,6 +25,7 @@ import sys
 from contextlib import contextmanager
 from itertools import accumulate
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .digraph import Digraph, cycle, path, tour
 from .dfsgraph import materialize, odp, odp_assign_slice, odp_edge_slice
@@ -328,7 +329,9 @@ def run_verify(args) -> tuple[str, int]:
     return text, 0 if verdict.holds else 1
 
 
-def run_table(args) -> tuple[str, int]:
+def run_table(args) -> tuple[Iterator[str], int]:
+    """The table's CSV lines, produced one row at a time as they are
+    written.  Every bound is checked before the first row."""
     lo, hi = _parse_range(args.n)
     _check_input("the top of --n", hi, args.unsafe_bounds)
     if args.kind == "eulerian":
@@ -341,12 +344,27 @@ def run_table(args) -> tuple[str, int]:
     else:
         # top row first: it is the dearest, so a range past the bound computes no row
         rows = [generalized_eulerian_poly(tour(n), cyclic=True, **_unsafe(args)) for n in range(hi, lo - 1, -1)][::-1]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for n, poly in zip(range(lo, hi + 1), rows):
-        with _exact_digits():
-            writer.writerow([poly[m] for m in range(n)])
-    return buf.getvalue(), 0
+
+    def lines():
+        for n, poly in zip(range(lo, hi + 1), rows):
+            with _exact_digits():
+                line = ",".join([str(poly[m]) for m in range(n)]) + "\n"
+            yield line
+
+    return lines(), 0
+
+
+def _write(text: str | Iterable[str], output: str | None) -> None:
+    """Write the output to ``output``, else to stdout, a chunk at a time."""
+    chunks = [text] if isinstance(text, str) else text
+    if not output:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(output, "w") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise UsageError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:
@@ -361,6 +379,7 @@ def main(argv=None) -> int:
     }
     try:
         text, code = runners[args.command](args)
+        _write(text, args.output)
     except BoundExceededError as exc:
         print(f"seatgraphs: resource bound exceeded: {exc}", file=sys.stderr)
         return 3
@@ -371,14 +390,6 @@ def main(argv=None) -> int:
         # a defect, not a verdict: keep it off exit 1 and out of a traceback
         print(f"seatgraphs: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            print(f"seatgraphs: error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -44,7 +44,40 @@ live position holds only subsets of the values and is never split.  The
 stream is the base case, taken whenever its price is lower, which is how
 small n (where n! beats any state table) and graphs wide on both sides
 are handled.  A sum's price against the work bound is its parts' chosen
-prices (one part per Y-edge for an edge slice), checked before any runs.
+prices (one part per Y-edge for an edge slice, before the rewrite
+below), checked before any runs.
+
+Before the parts are priced they are rewritten by the rotation
+rho: v -> v mod n + 1 (n >= 2) of any side it maps onto itself, edge
+multiset and loops included, as it does Cycle_n, any circulant and the
+edgeless graph.  The outdegree of sigma is the sum of mult_X(a->b) *
+mult_Y(sigma(a)->sigma(b)) over the non-loop X-edges.
+
+* Value side.  If Y rotates, mult_Y(rho(u)->rho(v)) = mult_Y(u->v), so
+  sigma -> rho∘sigma keeps the outdegree.  It is a bijection of S_n
+  taking the permutations with sigma(i) = v_i at each pinned position i
+  onto those with sigma(i) = rho(v_i).  A part's sum is therefore that
+  of every part in its orbit under shifting all pinned values by one
+  step, and the orbit holds the one part whose smallest pinned position
+  holds 1.  So each part is replaced by that representative, and parts
+  that meet there merge, their weights added: the n parts of an edge
+  slice against Cycle_n become one part of weight n, and a circulant Y
+  gives one part per edge orbit.  With no pin, the slices sigma(1) = v
+  for v = 1..n are one orbit and partition S_n, so the whole sum is n
+  times the slice sigma(1) = 1.
+* Position side.  If X rotates, sigma -> sigma∘rho keeps the outdegree:
+  sigma∘rho meets the X-edge a -> b at (sigma(rho(a)), sigma(rho(b))),
+  and rho maps X's edges onto themselves, multiplicities included, so
+  the terms are those of sigma, reordered.  It takes the permutations
+  with sigma(i+1) = 1 onto those with sigma(i) = 1 (positions mod n),
+  so the n slices "sigma(i) = 1" have equal sums; they partition S_n,
+  and the whole sum is again n times the slice sigma(1) = 1.  Pinned
+  parts keep their positions: a shift of positions would not bring the
+  pins of an edge slice to one representative.
+
+A pinned sigma(1) cuts a walk over Cycle_n from two live positions to
+one, and a stream from n! permutations to (n-1)!; the walk and the
+stream themselves do not change.
 
 ``materialize`` serves DOT/JSON export only; the checks take one
 vertex's ``witness_rows`` at a time.  It pays for its output: n!
@@ -175,13 +208,41 @@ def outdegree(X: Digraph, Y: Digraph, p: Perm) -> int:
     return sum(w.multiplicity for w in out_neighbors(X, Y, p))
 
 
+def _rotates(G: Digraph) -> bool:
+    """Whether rho: v -> v mod n + 1 maps G's edge multiset, loops
+    included, onto itself, with n >= 2."""
+    n = G.n
+    return n >= 2 and sorted((u % n + 1, v % n + 1, m) for u, v, m in G.edge_counts) == list(G.edge_counts)
+
+
+def _quotient(X: Digraph, Y: Digraph, parts: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, int]]]:
+    """``parts`` rewritten by the rotations of X and Y to an equal sum:
+    an unpinned part becomes ``{1: 1}`` at n times its weight when either
+    side rotates, and when Y rotates each part's values are shifted so
+    that its smallest pinned position holds 1.  Equal parts merge."""
+    n = X.n
+    rot_x, rot_y = _rotates(X), _rotates(Y)
+    merged: dict[tuple, int] = {}
+    for weight, pins in parts:
+        if not pins and (rot_x or rot_y):
+            weight, pins = weight * n, {1: 1}
+        elif pins and rot_y:
+            shift = pins[min(pins)] - 1
+            pins = {i: (v - 1 - shift) % n + 1 for i, v in pins.items()}
+        key = tuple(sorted(pins.items()))
+        merged[key] = merged.get(key, 0) + weight
+    return [(weight, dict(key)) for key, weight in merged.items()]
+
+
 def _odp_poly(X: Digraph, Y: Digraph, parts: list[tuple[int, dict[int, int]]], what: str,
               bound: int | None) -> Polynomial:
     """Sum over ``parts`` of (weight, ``{position: value}``, 1-based) of
     weight * x^outdegree over the permutations that take each pinned
-    position to its value.  All parts are priced before the first runs."""
+    position to its value.  The parts are first rewritten by ``_quotient``
+    (the rotation lemma in the module docstring), and the rewritten parts
+    are priced, all of them before the first runs."""
     n = X.n
-    chosen = [(weight, *_choose(X, Y, pins, what, bound)) for weight, pins in parts]
+    chosen = [(weight, *_choose(X, Y, pins, what, bound)) for weight, pins in _quotient(X, Y, parts)]
     check_bound(what, sum(price for _, price, _, _ in chosen), bound)
     # no coefficient of a part exceeds n!, so this many bits per coefficient keep packed
     # polynomials exact under shifts and sums; weights apply after unpacking

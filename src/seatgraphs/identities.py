@@ -75,25 +75,35 @@ def verify_automorphism(
     X_graph: Digraph, Y_graph: Digraph, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """Inversion is a multiplicity-preserving edge bijection between
-    DFS(X, Y) and DFS(Y, X): tau's witnesses in DFS(Y, X) are tau^-1's in DFS(X, Y), inverted."""
+    DFS(X, Y) and DFS(Y, X): tau's witnesses in DFS(Y, X) are tau^-1's in DFS(X, Y), inverted.
+
+    Both rows are keyed on the two values a target swaps in tau, as the
+    mask 2^u + 2^v.  A witness (sigma, a, b) out of sigma = tau^-1 reaches
+    sigma∘(a b), whose inverse is tau with values a and b swapped; a
+    witness (tau, a, b) reaches tau∘(a b), which is tau with values tau(a)
+    and tau(b) swapped.  A target is built only for a counterexample."""
     n = X_graph.n
     forward, backward = witness_rows([(X_graph, Y_graph), (Y_graph, X_graph)], "automorphism check", bound)
     rng = f"all {n}!x{n}! vertex pairs of DFS(X,Y) against DFS(Y,X)"
     for tau in enumerate_perms(n):  # lexicographic, so the smallest mismatched source comes first
         mapped, right = defaultdict(int), defaultdict(int)
-        for w in forward(inverse(tau)):
-            mapped[inverse(w.target)] += w.multiplicity
-        for w in backward(tau):
-            right[w.target] += w.multiplicity
+        for _, a, b, _, m in forward(inverse(tau)):
+            mapped[1 << a | 1 << b] += m
+        for _, a, b, _, m in backward(tau):
+            right[1 << tau[a - 1] | 1 << tau[b - 1]] += m
         if mapped != right:
-            t = min(t for t in mapped.keys() | right.keys() if mapped[t] != right[t])
+            def target(mask):
+                # x in the mask becomes the mask's other value
+                return tuple((mask ^ 1 << x).bit_length() - 1 if mask >> x & 1 else x for x in tau)
+
+            mask = min((k for k in mapped.keys() | right.keys() if mapped[k] != right[k]), key=target)
             return Verdict(
                 False,
                 rng,
                 Counterexample(
-                    inputs=f"edge {_perm_str(tau)} -> {_perm_str(t)}",
-                    lhs=f"multiplicity {mapped[t]} mapped from DFS(X,Y)",
-                    rhs=f"multiplicity {right[t]} in DFS(Y,X)",
+                    inputs=f"edge {_perm_str(tau)} -> {_perm_str(target(mask))}",
+                    lhs=f"multiplicity {mapped[mask]} mapped from DFS(X,Y)",
+                    rhs=f"multiplicity {right[mask]} in DFS(Y,X)",
                 ),
             )
     return Verdict(True, rng)

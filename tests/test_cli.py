@@ -145,7 +145,7 @@ class TestBounds:
         pytest.param(("verify", "squish", "--x", "tour:11", "--y", "tour:11", "--pair", "2,1"), {3}, id="squish"),
         # chi has no price: the path and cycle identities keep a bound on n
         pytest.param(("verify", "path-identity", "--graph", "tour:9"), {3}, id="path-identity"),
-        pytest.param(("verify", "cycle-base", "--n", "14"), {3}, id="cycle-base"),
+        pytest.param(("verify", "cycle-base", "--n", "15"), {3}, id="cycle-base"),
         pytest.param(("verify", "cycle-identity", "--graph", "tour:9"), {3}, id="cycle-identity"),
         pytest.param(("verify", "gen-eulerian", "--graph", "tour:11"), {3}, id="gen-eulerian"),
         # the Eulerian table is a recurrence: 22 140 steps
@@ -461,6 +461,21 @@ class TestTable:
         assert cli.main(["table", "eulerian", "--n", "5..30"]) == 0
         assert calls == [5]
         assert capsys.readouterr().out == "".join(
+            ",".join(map(str, polynomials.eulerian_poly(n).coeffs)) + "\n" for n in range(5, 31))
+
+    def test_eulerian_rows_are_written_as_they_are_produced(self, monkeypatch):
+        # when row n is stepped from row n - 1, rows 5..n-1 are already out
+        out, written = io.StringIO(), []
+
+        def step(previous, n):
+            written.append(out.getvalue().count("\n"))
+            return polynomials.eulerian_step(previous, n)
+
+        monkeypatch.setattr(cli, "eulerian_step", step)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["table", "eulerian", "--n", "5..30"]) == 0
+        assert written == list(range(1, 26))
+        assert out.getvalue() == "".join(
             ",".join(map(str, polynomials.eulerian_poly(n).coeffs)) + "\n" for n in range(5, 31))
 
     def test_cyclic_range_past_the_bound_computes_no_row(self, monkeypatch):

@@ -363,6 +363,132 @@ class TestWorkBound:
         with pytest.raises(BoundExceededError, match=r"ODP edge slice would take \d+ steps"):
             odp_edge_slice(tour(11), tour(11), 2, 1)
 
+    def test_a_cycle_side_is_priced_after_its_pin(self, monkeypatch):
+        # the rotation quotient pins sigma(1) = 1 before pricing: Cycle_14
+        # is admitted in either order, Cycle_15 is not
+        monkeypatch.setattr(dfsgraph, "_stream", lambda *args: 0)
+        monkeypatch.setattr(dfsgraph, "_run", lambda *args: 0)
+        assert dfsgraph._choose(tour(14), cycle(14), {})[0] > WORK_BOUND
+        assert odp(tour(14), cycle(14)).is_zero()
+        assert odp(cycle(14), tour(14)).is_zero()
+        with pytest.raises(BoundExceededError):
+            odp(tour(15), cycle(15))
+
+
+def circulant(n, steps):
+    """Every edge i -> i + s (mod n) for s in ``steps``: one edge orbit
+    of the rotation per step."""
+    return Digraph.from_edges(n, [(i, (i - 1 + s) % n + 1) for i in range(1, n + 1) for s in steps])
+
+
+def doubled_cycle(n):
+    """Cycle_n with every edge doubled and a loop at every vertex: a
+    multigraph that rotates."""
+    return Digraph.from_edges(n, 2 * [(i, i % n + 1) for i in range(1, n + 1)] + [(i, i) for i in range(1, n + 1)])
+
+
+def quotient_pairs():
+    """Seeded pairs at n = 2..6 with a rotating side on X, on Y or on
+    both, in both orders: Cycle_n, a multigraph, and at n >= 5 a circulant
+    with two edge orbits; plus Path_n against Tour_n, where neither side
+    rotates."""
+    rng = random.Random(19)
+    out = []
+    for n in range(2, 7):
+        rotating = [cycle(n), doubled_cycle(n)] + ([circulant(n, (1, 2))] if n >= 5 else [])
+        fixed = [tour(n), path(n), random_multigraph(rng, n)]
+        out += [pair for r, f in zip(rotating, fixed) for pair in ((f, r), (r, f))]
+        out += [(cycle(n), doubled_cycle(n)), (path(n), tour(n))]
+    return out
+
+
+@cache
+def quotient_expectations():
+    """Oracle values for every quotient pair: (x, y, odp, {(a, b): edge
+    slice}, {(i, j): assignment slice})."""
+    rng = random.Random(20)
+    out = []
+    for x, y in quotient_pairs():
+        n = x.n
+        edge_pairs, assignments = slice_queries(n, rng)
+        out.append((x, y, oracles.brute_odp(n, pairs(x), pairs(y)),
+                    {(a, b): oracles.brute_edge_slice(n, pairs(x), pairs(y), a, b) for a, b in edge_pairs},
+                    {(i, j): oracles.brute_assign_slice(n, pairs(x), pairs(y), i, j) for i, j in assignments}))
+    return out
+
+
+def assert_quotient_matches_oracles():
+    for x, y, whole, edge, assign in quotient_expectations():
+        assert odp(x, y).coeffs == whole
+        for (a, b), ref in edge.items():
+            assert odp_edge_slice(x, y, a, b).coeffs == ref
+        for (i, j), ref in assign.items():
+            assert odp_assign_slice(x, y, i, j).coeffs == ref
+
+
+class TestRotationQuotient:
+    """A side that rotation maps onto itself lets the kernel pin one
+    position and multiply, and shift every pinned part of a sum against
+    a rotating Y to one orbit representative."""
+
+    def test_which_sides_rotate(self):
+        for n in range(2, 7):
+            assert dfsgraph._rotates(cycle(n)) and dfsgraph._rotates(doubled_cycle(n))
+            assert dfsgraph._rotates(Digraph.from_edges(n, []))
+            assert not dfsgraph._rotates(path(n)) and not dfsgraph._rotates(tour(n))
+        assert dfsgraph._rotates(circulant(6, (1, 2)))
+        assert not dfsgraph._rotates(Digraph.from_edges(1, [(1, 1)]))
+        # one edge of the cycle doubled breaks the rotation
+        assert not dfsgraph._rotates(Digraph.from_edges(4, [(1, 2), (1, 2), (2, 3), (3, 4), (4, 1)]))
+
+    def test_parts_collapse_to_one_per_orbit(self):
+        q = dfsgraph._quotient
+        n = 6
+        assert q(tour(n), cycle(n), [(1, {})]) == [(n, {1: 1})]
+        assert q(cycle(n), tour(n), [(1, {})]) == [(n, {1: 1})]
+        # an edge slice against Cycle_n: one part per edge, one orbit
+        edge_parts = [(1, {2: u, 1: v}) for u, v, _ in cycle(n).edge_counts]
+        assert q(tour(n), cycle(n), edge_parts) == [(n, {1: 1, 2: n})]
+        two_orbits = [(1, {1: u, 2: v}) for u, v, _ in circulant(n, (1, 2)).edge_counts]
+        assert q(tour(n), circulant(n, (1, 2)), two_orbits) == [(n, {1: 1, 2: 2}), (n, {1: 1, 2: 3})]
+        # a rotating X rewrites only the unpinned sum; Tour_n does not rotate
+        assert q(cycle(n), tour(n), [(1, {2: 5})]) == [(1, {2: 5})]
+        assert q(path(n), tour(n), [(1, {})]) == [(1, {})]
+
+    def test_pairs_rotate_on_each_side(self):
+        kinds = {(dfsgraph._rotates(x), dfsgraph._rotates(y)) for x, y in quotient_pairs()}
+        assert kinds == {(True, False), (False, True), (True, True), (False, False)}
+        assert any(m > 1 for x, y in quotient_pairs() for g in (x, y) if dfsgraph._rotates(g)
+                   for _, _, m in g.edge_counts)
+
+    @pytest.mark.parametrize("walk_cost, cap, reached", [
+        (dfsgraph._WALK_COST, dfsgraph._STATE_CAP, {"stream"}),
+        (0, dfsgraph._STATE_CAP, {"walk X", "walk Y"}),
+        (0, 16, {"split"}),
+    ], ids=["defaults", "walk-cost-0", "split"])
+    def test_match_oracles(self, monkeypatch, walk_cost, cap, reached):
+        monkeypatch.setattr(dfsgraph, "_WALK_COST", walk_cost)
+        monkeypatch.setattr(dfsgraph, "_STATE_CAP", cap)
+        # the kernel paths the pinned part of each pair's whole sum takes
+        kinds = {kernel_path(x, y, pins) for x, y in quotient_pairs()
+                 for _, pins in dfsgraph._quotient(x, y, [(1, {})])}
+        assert reached <= kinds
+        assert_quotient_matches_oracles()
+
+    def test_mutant_pinning_without_the_factor_fails(self, monkeypatch):
+        def unweighted(x, y, parts):
+            rotates = dfsgraph._rotates(x) or dfsgraph._rotates(y)
+            return [(weight, pins or {1: 1}) if rotates else (weight, pins) for weight, pins in parts]
+
+        monkeypatch.setattr(dfsgraph, "_quotient", unweighted)
+        with pytest.raises(AssertionError):
+            assert_quotient_matches_oracles()
+
+    def test_mutant_quotient_of_a_side_that_does_not_rotate_fails(self, monkeypatch):
+        monkeypatch.setattr(dfsgraph, "_rotates", lambda g: g.n >= 2)
+        with pytest.raises(AssertionError):
+            assert_quotient_matches_oracles()
+
 
 class TestEdgeSlice:
     def test_tour_path_slice_21(self):
