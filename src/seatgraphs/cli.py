@@ -6,6 +6,7 @@ gen     construct a named-family graph and emit JSON or DOT
 odp     outdegree polynomial of a graph pair, with optional slices
 verify  run one theorem verifier (or the hypothesis sweep)
 table   Eulerian / cyclic-Eulerian coefficient rows as CSV
+dfs     the graph DFS(X, Y) as DOT or JSON
 
 Graphs are accepted as named-family specs ("tour:4", "path:5",
 "cycle:3"), inline JSON ('{"n":3,"edges":[[3,1]]}'), or a path to a
@@ -23,7 +24,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -43,6 +44,7 @@ from .identities import (
     verify_self_equivalent_slice,
 )
 from .limits import DEFAULT_TRUNCATION, INPUT_BOUND, WORK_BOUND, BoundExceededError, check_bound
+from .permutations import WORD_MAX_N
 from .polynomials import eulerian_poly, eulerian_step, generalized_eulerian_poly
 
 _FAMILY_RE = re.compile(r"(tour|path|cycle):(\d+)")
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("kind", choices=("eulerian", "cyclic-eulerian"))
     p_tab.add_argument("--n", required=True, help="range like 1..4 or a single n")
 
-    p_dfs = sub.add_parser("dfs", parents=[common], help="materialize DFS(X, Y) and print it")
+    p_dfs = sub.add_parser("dfs", parents=[common], help="print DFS(X, Y) as DOT or JSON, a vertex at a time")
     p_dfs.add_argument("x_spec")
     p_dfs.add_argument("y_spec")
     p_dfs.add_argument("--format", choices=("json", "dot"), default="json")
@@ -268,13 +270,18 @@ def run_odp(args) -> tuple[str, int]:
     return poly.format() + "\n", 0
 
 
-def run_dfs(args) -> tuple[str, int]:
+def run_dfs(args) -> tuple[Iterator[str], int]:
+    """The graph's DOT or JSON, a vertex at a time as it is written.
+    DOT's one-line words bound n, checked before any vertex is built."""
     X = parse_graph_spec(args.x_spec, args.unsafe_bounds)
     Y = parse_graph_spec(args.y_spec, args.unsafe_bounds)
+    if args.format == "dot" and X.n > WORD_MAX_N:
+        raise UsageError(f"DOT output names vertices by one-line words, defined only for n <= {WORD_MAX_N} "
+                         f"(n={X.n}); use --format json")
     dfs = materialize(X, Y, **_unsafe(args))
     if args.format == "dot":
         return dfs.to_dot(), 0
-    return dfs.to_json() + "\n", 0
+    return chain(dfs.to_json(), ["\n"]), 0
 
 
 def run_verify(args) -> tuple[str, int]:

@@ -80,26 +80,26 @@ one, and a stream from n! permutations to (n-1)!; the walk and the
 stream themselves do not change.
 
 ``materialize`` serves DOT/JSON export only; the checks take one
-vertex's ``witness_rows`` at a time.  It pays for its output: n!
-vertices and one witness per edge (52 920 for Tour_7 against Tour_7).
-What the edge rule reads, X's non-loop edges and Y's multiplicity grid,
-is built once per pair, and each X-edge carries an ``itemgetter`` that
-swaps its two positions.  Every witness's target is the vertex object
-found through the index, not a copy, and each witness is built by
-``tuple.__new__``.
+vertex's ``witness_rows`` at a time.  It builds the n! vertices in
+lexicographic order and their index, nothing per edge: ``to_json`` and
+``to_dot`` yield one chunk per vertex, formatted straight from what the
+edge rule reads (X's non-loop edges, each with an ``itemgetter`` that
+swaps its two positions, and Y's multiplicity grid, built once per
+export), so an export holds no witness and no whole document.  The
+witness rows themselves, ``adjacency``, are built only when asked for.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations, zip_longest
 from math import comb, factorial, perm
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .digraph import Digraph
 from .limits import WORK_BOUND, check_bound
-from .permutations import Perm, enumerate_perms, validate_perm, word
+from .permutations import WORD_MAX_N, Perm, enumerate_perms, validate_perm, word
 from .polynomials import Polynomial
 
 # Most states the priced bound of one walk level may reach; a larger
@@ -508,17 +508,27 @@ def odp_assign_slice(X: Digraph, Y: Digraph, i: int, j: int, bound: int | None =
 
 @dataclass(frozen=True)
 class MaterializedDfs:
-    """Explicit DFS(X, Y): all n! vertices with per-vertex witness lists.
+    """Explicit DFS(X, Y): all n! vertices, in lexicographic order, and
+    the pair whose edge rule gives their witnesses.
 
-    Vertices are in lexicographic order; ``adjacency[i]`` holds the
-    witnesses out of ``vertices[i]`` in (a, b) order.
+    ``to_json`` and ``to_dot`` format each vertex's edges straight from
+    the rule.  ``adjacency[i]``, the witnesses out of ``vertices[i]`` in
+    (a, b) order, is built on first use and kept.
     """
 
     n: int
     vertices: tuple[Perm, ...]
-    adjacency: tuple[tuple[DfsEdgeWitness, ...], ...]
+    x: Digraph
+    y: Digraph
 
     index: dict[Perm, int] = field(repr=False, compare=False)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[DfsEdgeWitness, ...], ...]:
+        """Every witness, its target the vertex object itself."""
+        vertex = {p: p for p in self.vertices}
+        rule = _witness_rule(self.x, self.y)
+        return tuple(tuple(_witnesses(p, *rule, vertex)) for p in self.vertices)
 
     def to_json_obj(self) -> dict:
         return {
@@ -537,34 +547,50 @@ class MaterializedDfs:
             ],
         }
 
-    def to_json(self) -> str:
-        """``json.dumps(self.to_json_obj(), separators=(",", ":"))``,
-        formatted directly rather than through a dict per edge."""
+    def to_json(self) -> Iterator[str]:
+        """``json.dumps(self.to_json_obj(), separators=(",", ":"))`` in
+        chunks: one per vertex in the vertex list, then one per vertex
+        with edges out of it, formatted straight from the edge rule."""
         index = self.index
-        edges = ",".join([f'{{"from":{i},"to":{index[t]},"a":{a},"b":{b},"mult":{m}}}'
-                          for i, row in enumerate(self.adjacency) for _, a, b, t, m in row])
-        vertices = json.dumps(self.vertices, separators=(",", ":"))
-        return f'{{"n":{self.n},"vertices":{vertices},"edges":[{edges}]}}'
+        arcs, grid = _witness_rule(self.x, self.y)
+        # each arc's fixed fields, formatted once
+        arcs = [(f',"a":{a},"b":{b},"mult":', i, j, mx, swap) for a, b, i, j, mx, swap in arcs]
+        yield f'{{"n":{self.n},"vertices":['
+        for k, p in enumerate(self.vertices):
+            yield f'{"," if k else ""}[{",".join(map(str, p))}]'
+        yield '],"edges":['
+        sep = ""
+        for k, p in enumerate(self.vertices):
+            head = f'{{"from":{k},"to":'
+            edges = ",".join([f'{head}{index[swap(p)]}{fields}{mx * my}}}'
+                              for fields, i, j, mx, swap in arcs if (my := grid[p[i]][p[j]])])
+            if edges:
+                yield sep + edges
+                sep = ","
+        yield "]}"
 
-    def to_dot(self) -> str:
-        words = {p: word(p) for p in self.vertices}
-        lines = ["digraph {"]
-        lines += [f'  "{w}";' for w in words.values()]
-        for row in self.adjacency:
-            for w in row:
-                lines += [f'  "{words[w.source]}" -> "{words[w.target]}";'] * w.multiplicity
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    def to_dot(self) -> Iterator[str]:
+        """DOT in chunks: one declaration per vertex, named by its
+        one-line word (so n <= 9, checked before the first chunk), then
+        the edges out of each vertex, each repeated by its multiplicity."""
+        if self.n > WORD_MAX_N:
+            raise ValueError(f"one-line words are only defined for n <= {WORD_MAX_N}")
+        arcs, grid = _witness_rule(self.x, self.y)
+        yield "digraph {\n"
+        for p in self.vertices:
+            yield f'  "{word(p)}";\n'
+        for p in self.vertices:
+            # the target's word is the source's with the arc's two positions swapped
+            w = word(p)
+            yield "".join([f'  "{w}" -> "{"".join(swap(w))}";\n' * (mx * my)
+                           for _, _, i, j, mx, swap in arcs if (my := grid[p[i]][p[j]])])
+        yield "}\n"
 
 
 def materialize(X: Digraph, Y: Digraph, bound: int | None = WORK_BOUND) -> MaterializedDfs:
-    """Build the full DFS(X, Y) graph (n! vertices).  Every witness's
-    target is the vertex object itself.  Priced at n! * (n + 5a) for the
-    a non-loop arcs of X: each vertex, and each witness it may store."""
+    """DFS(X, Y) with its n! vertices and their index; no witness is
+    built until ``adjacency`` is read.  Priced at n! * (n + 5a) for the a
+    non-loop arcs of X: each vertex, and each witness an export formats."""
     check_bound("DFS materialization", _visit_price(X, Y), bound)
-    n = X.n
-    vertices = tuple(enumerate_perms(n))
-    arcs, grid = _witness_rule(X, Y)
-    vertex = {p: p for p in vertices}
-    adjacency = tuple(tuple(_witnesses(p, arcs, grid, vertex)) for p in vertices)
-    return MaterializedDfs(n, vertices, adjacency, {p: i for i, p in enumerate(vertices)})
+    vertices = tuple(enumerate_perms(X.n))
+    return MaterializedDfs(X.n, vertices, X, Y, {p: i for i, p in enumerate(vertices)})

@@ -80,10 +80,14 @@ def swap_positions(p: Perm, a: int, b: int) -> Perm:
     return tuple(q)
 
 
+# one digit per value: the largest n whose one-line words are unambiguous
+WORD_MAX_N = 9
+
+
 def word(p: Perm) -> str:
     """One-line word like "231"; only unambiguous for n <= 9."""
-    if len(p) > 9:
-        raise ValueError("one-line words are only defined for n <= 9")
+    if len(p) > WORD_MAX_N:
+        raise ValueError(f"one-line words are only defined for n <= {WORD_MAX_N}")
     return "".join(str(v) for v in p)
 
 

@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -7,17 +9,39 @@ import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seatgraphs import cli, identities, polynomials
+from seatgraphs import cli, dfsgraph, identities, polynomials
+from seatgraphs.dfsgraph import materialize
+from seatgraphs.digraph import cycle, tour
 from seatgraphs.polynomials import Polynomial
+
+import oracles
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def reference_dfs(x, y, fmt):
+    """``dfs``'s stdout for the graph JSON objects x and y, formatted here
+    from ``oracles.brute_dfs_witnesses``: vertices in lexicographic order,
+    each vertex's witnesses in (a, b) order, a DOT edge repeated by its
+    multiplicity."""
+    n = x["n"]
+    vertices = list(itertools.permutations(range(1, n + 1)))
+    witnesses = [w for row in oracles.brute_dfs_witnesses(n, x["edges"], y["edges"]) for w in row]
+    if fmt == "dot":
+        name = {v: "".join(map(str, v)) for v in vertices}
+        return ("digraph {\n" + "".join(f'  "{name[v]}";\n' for v in vertices)
+                + "".join(f'  "{name[s]}" -> "{name[t]}";\n' * m for s, _, _, t, m in witnesses) + "}\n")
+    position = {v: i for i, v in enumerate(vertices)}
+    edges = [{"from": position[s], "to": position[t], "a": a, "b": b, "mult": m} for s, a, b, t, m in witnesses]
+    return json.dumps({"n": n, "vertices": vertices, "edges": edges}, separators=(",", ":")) + "\n"
 
 
 def run_cli(*args, env=None):
@@ -521,6 +545,66 @@ class TestDfsExport:
     def test_dot_contains_permutation_words(self):
         r = run_cli("dfs", "tour:3", "path:3", "--format", "dot")
         assert '"213" -> "123";' in r.stdout
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_output_equals_a_reference_formatted_from_the_oracle(self, fmt, capsys):
+        # every labeled acyclic pair at n = 3, a pair with parallel edges
+        # and self-loops on both sides, and Cycle/Tour pairs at n = 2..5
+        pool = [(2, 1), (3, 1), (3, 2)]
+        acyclic = [json.dumps({"n": 3, "edges": [e for i, e in enumerate(pool) if mask >> i & 1]})
+                   for mask in range(1 << len(pool))]
+        specs = [(x, y) for x in acyclic for y in acyclic]
+        specs.append(('{"n":3,"edges":[[2,1],[2,1],[1,3],[3,3]]}', '{"n":3,"edges":[[1,2],[3,2],[3,2],[2,3],[1,1]]}'))
+        specs += [(f(n).to_json(), g(n).to_json()) for n in range(2, 6) for f in (cycle, tour) for g in (cycle, tour)]
+        for x, y in specs:
+            assert cli.main(["dfs", x, y, "--format", fmt]) == 0
+            assert capsys.readouterr().out == reference_dfs(json.loads(x), json.loads(y), fmt), (x, y)
+
+    @pytest.mark.parametrize("extra", [[], ["--unsafe-bounds"]], ids=["bounded", "unsafe"])
+    def test_dot_past_n9_exits_2_before_any_vertex(self, extra, monkeypatch, capsys, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("materialize called")
+
+        monkeypatch.setattr(cli, "materialize", refuse)
+        target = tmp_path / "out.dot"
+        for output in ([], ["-o", str(target)]):
+            assert cli.main(["dfs", "path:10", "path:10", "--format", "dot", *extra, *output]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "n <= 9" in err
+        assert not target.exists()
+
+    def test_export_streams_without_building_witnesses(self, monkeypatch):
+        expected = (json.dumps(materialize(tour(7), tour(7)).to_json_obj(), separators=(",", ":")) + "\n").encode()
+
+        class Sink:
+            """Counts and hashes what is written, keeping none of it."""
+            def __init__(self):
+                self.size, self.digest = 0, hashlib.sha256()
+
+            def write(self, text):
+                self.size += len(text)
+                self.digest.update(text.encode())
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+        def refuse(*args):
+            raise AssertionError("a witness was built")
+
+        sink = Sink()
+        monkeypatch.setattr(dfsgraph, "_witnesses", refuse)
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main(["dfs", "tour:7", "tour:7"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (sink.size, sink.digest.digest()) == (len(expected), hashlib.sha256(expected).digest())
+        # 2.4 MB of JSON; holding every witness took about 14 MB
+        assert peak < len(expected)
 
 
 class TestDeterminismAndOutput:

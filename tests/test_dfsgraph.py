@@ -618,8 +618,8 @@ class TestMaterialize:
     def test_dot_and_json_are_deterministic(self):
         a = materialize(tour(3), cycle(3))
         b = materialize(tour(3), cycle(3))
-        assert a.to_dot() == b.to_dot()
-        assert a.to_json() == b.to_json()
+        assert "".join(a.to_dot()) == "".join(b.to_dot())
+        assert "".join(a.to_json()) == "".join(b.to_json())
 
     def test_bound_enforced(self):
         # 9! * (9 + 5 * 36) steps
@@ -654,10 +654,10 @@ class TestMaterializedWitnesses:
     def test_json_is_the_encoded_object(self):
         for x, y in kernel_pairs() + family_pairs():
             dfs = materialize(x, y)
-            assert dfs.to_json() == json.dumps(dfs.to_json_obj(), separators=(",", ":"))
+            assert "".join(dfs.to_json()) == json.dumps(dfs.to_json_obj(), separators=(",", ":"))
 
     def test_dot_tour_cycle_3(self):
-        assert materialize(tour(3), cycle(3)).to_dot() == (
+        assert "".join(materialize(tour(3), cycle(3)).to_dot()) == (
             'digraph {\n  "123";\n  "132";\n  "213";\n  "231";\n  "312";\n  "321";\n'
             '  "123" -> "321";\n  "132" -> "312";\n  "132" -> "123";\n  "213" -> "123";\n'
             '  "213" -> "231";\n  "231" -> "132";\n  "312" -> "213";\n  "321" -> "231";\n'
@@ -665,7 +665,7 @@ class TestMaterializedWitnesses:
         )
 
     def test_dot_repeats_an_edge_by_its_multiplicity(self):
-        assert materialize(MULTI_X, MULTI_Y).to_dot() == (
+        assert "".join(materialize(MULTI_X, MULTI_Y).to_dot()) == (
             'digraph {\n  "123";\n  "132";\n  "213";\n  "231";\n  "312";\n  "321";\n'
             '  "132" -> "231";\n  "213" -> "312";\n' + '  "213" -> "123";\n' * 2
             + '  "231" -> "321";\n' * 4 + '  "312" -> "213";\n' * 2 + '  "321" -> "231";\n' * 2 + '}\n'
@@ -692,3 +692,16 @@ class TestMaterializedWitnesses:
             dfs = materialize(x, y)
             for p, row in zip(dfs.vertices, dfs.adjacency):
                 assert tuple(out_neighbors(x, y, p)) == row
+
+    def test_export_builds_no_witness_rows(self):
+        for x, y in [(tour(4), cycle(4)), (MULTI_X, MULTI_Y)]:
+            dfs = materialize(x, y)
+            "".join(dfs.to_json())
+            "".join(dfs.to_dot())
+            assert "adjacency" not in vars(dfs)
+            assert dfs.adjacency is dfs.adjacency
+
+    def test_dot_past_n9_raises_before_the_first_chunk(self):
+        dfs = dfsgraph.MaterializedDfs(10, (), path(10), path(10), {})
+        with pytest.raises(ValueError, match="n <= 9"):
+            next(dfs.to_dot())
