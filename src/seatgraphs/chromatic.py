@@ -2,12 +2,12 @@
 sink-equivalent edge sequence from the transitive tournament down to a
 target graph.
 
-Chromatic polynomials are computed by deletion-contraction over the
-underlying undirected simple graph, memoized on the exact labeled
-graph once its isolated vertices are split off: the key is n and one
-int with bit u*n + v set for each edge {u, v}, u < v.  Isomorphic
-graphs labeled differently take separate entries: a canonical
-relabeling would cost up to n! per key on a regular graph.
+Chromatic polynomials count partitions into independent sets over
+induced subsets (Björklund, Husfeldt and Koivisto, SIAM J. Comput. 39,
+2009), memoized on the exact labeled graph once its isolated vertices
+are split off: the key is each vertex's closed neighbourhood as a bit
+mask.  Isomorphic graphs labeled differently take separate entries: a
+canonical relabeling would cost up to n! per key on a regular graph.
 The memo table only ever receives idempotent inserts, so recomputation
 is harmless and the cache can never go stale.
 """
@@ -18,64 +18,67 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .digraph import Digraph
+from .limits import WORK_BOUND, check_bound
 from .permutations import Perm
-from .polynomials import Polynomial
+from .polynomials import ZERO, Polynomial
 
-UEdge = tuple[int, int]  # undirected edge as (lo, hi), 0-based inside this module
-
-
-def _x_power(n: int) -> Polynomial:
-    return Polynomial((0,) * n + (1,))
+_chromatic_memo: dict[tuple[int, ...], Polynomial] = {}
 
 
-_chromatic_memo: dict[tuple[int, int], Polynomial] = {}
+def _partition_counts(closed: tuple[int, ...]) -> list[int]:
+    """a_j, the partitions of vertices 0..n-1 into j independent sets,
+    for j = 0..n; bit u of ``closed[v]`` is set for u = v and v's
+    neighbours.  Peeling off the block I that holds the least vertex of
+    what is left, S, builds each partition once, visiting each (S, I) at
+    most once: (3^n - 1)/2 in all.  ``todo[k]`` maps each S of k vertices
+    to its peelings as a polynomial in y, one y per block, packed into an
+    int of ``shift``-bit coefficients, none of which reaches Bell(n)."""
+    n = len(closed)
+    shift = 1 + n * n.bit_length()
+    todo = [{} for _ in range(n)] + [{(1 << n) - 1: 1}]
+    for k in range(n, 0, -1):
+        for left, ways in todo[k].items():
+            v = (left & -left).bit_length() - 1
+            # (S - I, the vertices above I's last that may still join I)
+            stack = [(left ^ (1 << v), left & ~closed[v])]
+            while stack:
+                rest, free = stack.pop()
+                bucket = todo[rest.bit_count()]
+                bucket[rest] = bucket.get(rest, 0) + (ways << shift)
+                while free:
+                    u = free & -free
+                    free ^= u
+                    stack.append((rest ^ u, free & ~closed[u.bit_length() - 1]))
+    return [(todo[0][0] >> shift * j) & ((1 << shift) - 1) for j in range(n + 1)]
 
 
-def _chi(n: int, edges: frozenset[UEdge]) -> Polynomial:
-    if not edges:
-        return _x_power(n)
-    # split off isolated vertices: each contributes a factor of k
-    used = sorted({v for e in edges for v in e})
-    isolated = n - len(used)
-    if isolated:
-        rank = {v: i for i, v in enumerate(used)}
-        core = frozenset((rank[u], rank[v]) for u, v in edges)
-        return _x_power(isolated) * _chi(len(used), core)
-
-    key = (n, sum(1 << (u * n + v) for u, v in edges))
-    hit = _chromatic_memo.get(key)
-    if hit is not None:
-        return hit
-
-    u, v = min(edges)
-    deleted = edges - {(u, v)}
-    # contract v into u, then compress labels and dedupe parallel edges
-    merged = set()
-    for a, b in deleted:
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        if a2 != b2:
-            merged.add((min(a2, b2), max(a2, b2)))
-    survivors = [w for w in range(n) if w != v]
-    rank = {w: i for i, w in enumerate(survivors)}
-    contracted = frozenset((rank[a], rank[b]) for a, b in merged)
-
-    result = _chi(n, deleted) - _chi(n - 1, contracted)
-    _chromatic_memo[key] = result
-    return result
-
-
-def chromatic_poly(graph: Digraph) -> Polynomial:
-    """Chromatic polynomial of the underlying undirected graph, in k.
+def chromatic_poly(graph: Digraph, bound: int | None = WORK_BOUND) -> Polynomial:
+    """Chromatic polynomial of the underlying undirected graph, in k:
+    sum_j a_j k(k-1)...(k-j+1) over the numbers j of colour classes.
 
     Direction is forgotten and parallel/antiparallel edges merge before
     computing.  A self-loop makes every coloring improper, so the result
-    is the zero polynomial.
+    is the zero polynomial.  Each isolated vertex is a factor k; the
+    price of the c others, (3^c - 1)/2 steps, is checked first.
     """
     edges = graph.undirected_edges()
     if any(u == v for u, v in edges):
-        return Polynomial(())
-    return _chi(graph.n, frozenset((u - 1, v - 1) for u, v in edges))
+        return ZERO
+    used = sorted({v for e in edges for v in e})
+    check_bound("chromatic polynomial", (3 ** len(used) - 1) // 2, bound)
+    rank = {v: i for i, v in enumerate(used)}
+    closed = [1 << i for i in range(len(used))]
+    for u, v in edges:
+        closed[rank[u]] |= 1 << rank[v]
+        closed[rank[v]] |= 1 << rank[u]
+    core = _chromatic_memo.get(key := tuple(closed))
+    if core is None:
+        # a_0 + k (a_1 + (k - 1) (a_2 + ...)), from the inside out
+        coeffs = [0]
+        for j, count in reversed(list(enumerate(_partition_counts(key)))):
+            coeffs = [count - j * coeffs[0]] + [lo - j * hi for lo, hi in zip(coeffs, coeffs[1:] + [0])]
+        core = _chromatic_memo[key] = Polynomial(tuple(coeffs))
+    return Polynomial((0,) * (graph.n - len(used)) + core.coeffs)
 
 
 def is_peo(graph: Digraph) -> bool:
@@ -128,7 +131,7 @@ def find_chordal_labeling(graph: Digraph) -> Perm | None:
 
     The run test on the result decides whether the sweeps found one.
     """
-    if not graph.is_acyclic():
+    if not (graph.is_labeled_acyclic() or graph.is_acyclic()):
         raise ValueError("chordal labelings are defined for acyclic graphs")
     if not graph.is_simple():
         raise ValueError("chordal labelings are defined for simple graphs")

@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", "-o", default=None)
     common.add_argument("--unsafe-bounds", action="store_true",
-                        help="lift the input bound, the work bound and the identity bound")
+                        help="lift the input bound and the work bound")
 
     p_gen = sub.add_parser("gen", parents=[common], help="construct a graph and print it")
     p_gen.add_argument("spec", help="tour:N | path:N | cycle:N | inline JSON | file")

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 from .chromatic import chromatic_poly, enumerate_labeled_acyclic, find_chordal_labeling, is_peo
 from .digraph import Digraph, cycle, path, tour
 from .dfsgraph import odp, odp_assign_slice, odp_edge_slice, witness_rows
-from .limits import DEFAULT_TRUNCATION, IDENTITY_BOUND, WORK_BOUND, BoundExceededError, check_bound
+from .limits import DEFAULT_TRUNCATION, WORK_BOUND, check_bound
 from .permutations import enumerate_perms, inverse
 from .polynomials import ONE, X, Polynomial, SeriesPrefix, eulerian_poly, expand_over_one_minus_x, generalized_eulerian_poly
 
@@ -286,18 +286,16 @@ def _verify_worpitzky(name: str, X_graph: Digraph, min_n: int, walk: Callable[[i
     n = X_graph.n
     if n < min_n:
         raise ValueError(f"the {name} requires n >= {min_n}")
-    if bound is not None and n > bound:
-        raise BoundExceededError(f"{name}: n={n} is above the identity bound {bound}")
     complement = X_graph.complement()
     certificates = {"x_chordal": find_chordal_labeling(X_graph) is not None, "complement_peo": is_peo(complement)}
-    lhs = expand_over_one_minus_x(odp(X_graph, walk(n), bound=None), k, truncation)
-    rhs_prefix = SeriesPrefix.from_values(rhs(chromatic_poly(complement)))
+    lhs = expand_over_one_minus_x(odp(X_graph, walk(n), bound=bound), k, truncation)
+    rhs_prefix = SeriesPrefix.from_values(rhs(chromatic_poly(complement, bound=bound)))
     return _prefix_verdict(lhs, rhs_prefix, f"prefix m=0..{truncation} at n={n}", f"X={X_graph.to_json()}",
                            certificates)
 
 
 def verify_path_identity(
-    X_graph: Digraph, truncation: int = DEFAULT_TRUNCATION, bound: int | None = IDENTITY_BOUND
+    X_graph: Digraph, truncation: int = DEFAULT_TRUNCATION, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """ODP(X, Path_n) / (1-x)^(n+1) agrees with
     (-1)^n * sum chi_complement(-m-1) x^m through x^truncation.
@@ -307,7 +305,8 @@ def verify_path_identity(
     ``x_chordal`` (X admits some interval-clique labeling) is recorded
     for the sweep, not as a hypothesis; ``X = {2->1, 3->2}`` has it and
     fails.  The verdict is computed either way, so sweeps can map where
-    the identity holds beyond the hypothesis.
+    the identity holds beyond the hypothesis.  Both sides, ``odp`` and
+    chi, check their own price against the work budget ``bound``.
     """
     sign = (-1) ** X_graph.n
     return _verify_worpitzky("path identity", X_graph, 1, path, X_graph.n + 1,
@@ -347,7 +346,7 @@ def verify_cycle_base(
 
 
 def verify_cycle_identity(
-    X_graph: Digraph, truncation: int = DEFAULT_TRUNCATION, bound: int | None = IDENTITY_BOUND
+    X_graph: Digraph, truncation: int = DEFAULT_TRUNCATION, bound: int | None = WORK_BOUND
 ) -> Verdict:
     """ODP(X, Cycle_n) / (1-x)^n agrees with
     (-1)^n * n * sum (chi_complement(-m)/m) x^m through x^truncation.
@@ -358,7 +357,8 @@ def verify_cycle_identity(
 
     As for the path identity, the theorem needs the ``complement_peo``
     certificate; ``x_chordal`` is recorded for the sweep, not as a
-    hypothesis.  The verdict is computed either way.
+    hypothesis.  The verdict is computed either way; both sides check
+    their price against ``bound``, as there.
     """
     n = X_graph.n
     sign = (-1) ** n

@@ -1,4 +1,4 @@
-"""Resource bounds: one work budget, one n bound, one input bound.
+"""Resource bounds: one work budget and one input bound.
 
 The work bound is a budget of priced steps.  Each operation that walks
 S_n or a family of graphs checks its price before the work starts:
@@ -9,21 +9,17 @@ for X's a non-loop arcs, whether ``materialize`` exports it or the
 acyclicity, inversion or monotonicity check walks its rows (summed
 over the two pairs the last two compare); the sweep
 2^(n(n-1)/2) * n! * (n+1), a stream-priced verification per row;
-``table eulerian`` the sum of k^2 over its range.
-A verifier that only calls priced operations passes its bound down.  The
-identity bound caps n for the path and cycle identities, because chi by
-deletion-contraction has no price.  The input bound caps what the CLI
-builds from one argument (a graph spec's n, a `--n`, the top of a
-`table --n` range, the truncation M) before building it.  A caller may
-pass any bound, or None for none; --unsafe-bounds lifts all three.
+``table eulerian`` the sum of k^2 over its range; ``chromatic_poly``
+(3^c - 1)/2 for its c vertices that are not isolated.  A verifier that
+only calls priced operations passes its bound down.  The input bound
+caps what the CLI builds from one argument (a graph spec's n, a `--n`,
+the top of a `table --n` range, the truncation M) before building it.
+A caller may pass any bound, or None for none; --unsafe-bounds lifts both.
 """
 
 # Priced steps.  On a 2-vCPU host (Python 3.11) an odp step took 12-110 ns
 # and a step of the other prices 0.3-0.5 us: 1-20 s at the budget
 WORK_BOUND = 5 * 10**7
-
-# n of the path and cycle identity verifiers
-IDENTITY_BOUND = 8
 
 # Largest size the CLI builds from one argument: tour:700 (244 650
 # edges, 2.4 MB of JSON) takes 1.1 s end to end on a 2-vCPU Xeon

@@ -237,3 +237,24 @@ def induced_edges(n, edges, drop):
     survivors = [w for w in range(1, n + 1) if w not in drop]
     rank = {w: i + 1 for i, w in enumerate(survivors)}
     return sorted((rank[a], rank[b]) for a, b in edges if a in rank and b in rank)
+
+
+def mahonian(n):
+    """Coefficients of [1]_x [2]_x ... [n]_x, [k]_x = 1 + x + ... + x^(k-1):
+    permutations of 1..n by inversions (MacMahon, 1915)."""
+    coeffs = [1]
+    for k in range(2, n + 1):
+        # multiply by [k]_x: each new coefficient sums a window of k old ones
+        coeffs = [sum(coeffs[max(0, m - k + 1):m + 1]) for m in range(len(coeffs) + k - 1)]
+    return tuple(coeffs)
+
+
+def successions(n):
+    """Coefficients of sum_k C(n-1, k) d(n-1-k) x^k: permutations of 1..n
+    by successions, adjacent positions holding i, i + 1 (Roselle, 1968),
+    with d(m) = m d(m-1) + (m-1) d(m-2) and d(0) = d(1) = 1."""
+    d = [1, 1]
+    while len(d) < n:
+        m = len(d)
+        d.append(m * d[m - 1] + (m - 1) * d[m - 2])
+    return tuple(comb(n - 1, k) * d[n - 1 - k] for k in range(n))

@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from seatgraphs import chromatic
 from seatgraphs.chromatic import (
     chordal_sequence,
     chromatic_poly,
@@ -12,6 +13,7 @@ from seatgraphs.chromatic import (
     is_peo,
 )
 from seatgraphs.digraph import Digraph, cycle, path, tour
+from seatgraphs.limits import BoundExceededError
 from seatgraphs.polynomials import Polynomial
 
 import oracles
@@ -68,9 +70,10 @@ class TestChromaticPoly:
         assert all(chi(k) == (k - 1) ** 4 + (k - 1) for k in range(-3, 7))
 
     def test_deletion_contraction_relation(self):
+        # chi(G) = chi(G - e) - chi(G / e), a relation the subset
+        # recursion never uses; half density from n = 2 up to n = 13
         rng = random.Random(7)
-        for _ in range(25):
-            n = rng.randint(2, 6)
+        for n in [rng.randint(2, 6) for _ in range(25)] + [10, 11, 12, 13] * 2:
             pool = list(combinations(range(1, n + 1), 2))
             edges = [e for e in pool if rng.random() < 0.5]
             if not edges:
@@ -96,9 +99,9 @@ class TestChromaticPoly:
         assert chromatic_poly(a) == chromatic_poly(b)
 
     def test_memo_tells_vertex_counts_apart(self):
-        # an edge {u, v} of an n-vertex graph (0-based) sets bit u*n + v
-        # of the memo key, so these two share their edge bits: a triangle
-        # with two pendant edges, and a forest of two trees
+        # packing each edge {u, v} (0-based) of an n-vertex graph as bit
+        # u*n + v gives these two the same bits: a triangle with two
+        # pendant edges, and a forest of two trees
         triangle = chromatic_poly(Digraph.from_edges(5, [(2, 1), (4, 1), (5, 1), (4, 3), (5, 4)]))
         forest = chromatic_poly(Digraph.from_edges(7, [(2, 1), (4, 1), (5, 1), (7, 2), (6, 3)]))
         for k in range(-3, 8):
@@ -122,6 +125,33 @@ class TestChromaticPoly:
         for n in (9, 10, 11):
             chi = chromatic_poly(tour(n))
             assert all(chi(k) == falling(k, n) for k in range(-3, n + 2))
+
+    def test_closed_forms_at_14_to_16(self):
+        # K_n, a tree, and the n-cycle (k-1)^n + (-1)^n (k-1)
+        for n in (14, 15, 16):
+            complete, tree, ring = (chromatic_poly(g) for g in (tour(n), path(n), cycle(n)))
+            for k in range(-3, n + 2):
+                assert complete(k) == falling(k, n)
+                assert tree(k) == k * (k - 1) ** (n - 1)
+                assert ring(k) == (k - 1) ** n + (-1) ** n * (k - 1)
+
+    def test_refused_above_the_bound_before_any_work(self, monkeypatch):
+        class Untouchable(dict):
+            def get(self, key, default=None):
+                raise AssertionError("the memo was read")
+
+        def no_recursion(closed):
+            raise AssertionError("the recursion ran")
+
+        monkeypatch.setattr(chromatic, "_chromatic_memo", Untouchable())
+        monkeypatch.setattr(chromatic, "_partition_counts", no_recursion)
+        # (3^4 - 1)/2 = 40 steps for the 4-vertex core; the isolated
+        # vertices are free
+        g = Digraph.from_edges(9, [(2, 1), (4, 3)])
+        with pytest.raises(BoundExceededError, match="chromatic polynomial would take 40 steps"):
+            chromatic_poly(g, bound=39)
+        with pytest.raises(BoundExceededError, match="64570081 steps"):
+            chromatic_poly(tour(17))
 
     def test_agrees_with_coloring_oracle_on_a_seeded_sample_5_to_8(self):
         # the oracle walks every coloring, so n=8 gets one dense graph
@@ -170,6 +200,12 @@ class TestFindChordalLabeling:
     def test_directed_four_cycle_has_none(self):
         g = Digraph.from_edges(4, [(2, 1), (3, 2), (4, 3), (4, 1)])
         assert find_chordal_labeling(g) is None
+
+    def test_acyclic_but_not_labeled_acyclic(self):
+        # 1 -> 2 -> 3 points up the labels yet has no directed cycle
+        assert find_chordal_labeling(path(3)) == (1, 2, 3)
+        with pytest.raises(ValueError, match="defined for acyclic graphs"):
+            find_chordal_labeling(cycle(3))
 
     def test_tournament_uses_identity(self):
         assert find_chordal_labeling(tour(4)) == (1, 2, 3, 4)

@@ -167,10 +167,9 @@ class TestBounds:
         pytest.param(("verify", "self-slice", "--x", "tour:11", "--y", "tour:11", "--pair", "2,1"), {3},
                      id="self-slice"),
         pytest.param(("verify", "squish", "--x", "tour:11", "--y", "tour:11", "--pair", "2,1"), {3}, id="squish"),
-        # chi has no price: the path and cycle identities keep a bound on n
-        pytest.param(("verify", "path-identity", "--graph", "tour:9"), {3}, id="path-identity"),
+        pytest.param(("verify", "path-identity", "--graph", "tour:14"), {3}, id="path-identity"),
         pytest.param(("verify", "cycle-base", "--n", "15"), {3}, id="cycle-base"),
-        pytest.param(("verify", "cycle-identity", "--graph", "tour:9"), {3}, id="cycle-identity"),
+        pytest.param(("verify", "cycle-identity", "--graph", "tour:15"), {3}, id="cycle-identity"),
         pytest.param(("verify", "gen-eulerian", "--graph", "tour:11"), {3}, id="gen-eulerian"),
         # the Eulerian table is a recurrence: 22 140 steps
         pytest.param(("table", "eulerian", "--n", "1..40"), {0}, id="table-eulerian"),
@@ -179,10 +178,12 @@ class TestBounds:
         pytest.param(("gen", "path:701", "--unsafe-bounds"), {0}, id="gen-unsafe"),
         pytest.param(("verify", "sweep", "--n", "5", "--unsafe-bounds"), {0, 1}, id="sweep-unsafe"),
         pytest.param(("table", "eulerian", "--n", "9", "--unsafe-bounds"), {0}, id="table-eulerian-unsafe"),
-        # the certificate search must honour --unsafe-bounds too
-        pytest.param(("verify", "path-identity", "--graph", '{"n":9,"edges":[]}', "--M", "2", "--unsafe-bounds"),
+        # chi of the complement, K_17, is priced at 64 570 081 steps
+        pytest.param(("verify", "path-identity", "--graph", '{"n":17,"edges":[]}', "--M", "2"), {3},
+                     id="path-identity-chi"),
+        pytest.param(("verify", "path-identity", "--graph", '{"n":17,"edges":[]}', "--M", "2", "--unsafe-bounds"),
                      {0, 1}, id="path-identity-unsafe"),
-        pytest.param(("verify", "cycle-identity", "--graph", '{"n":9,"edges":[]}', "--M", "2", "--unsafe-bounds"),
+        pytest.param(("verify", "cycle-identity", "--graph", '{"n":17,"edges":[]}', "--M", "2", "--unsafe-bounds"),
                      {0, 1}, id="cycle-identity-unsafe"),
     ])
     def test_bound_exit_code(self, argv, codes):

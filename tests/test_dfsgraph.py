@@ -226,6 +226,27 @@ class TestKernelPaths:
         assert odp(tour(12), cycle(12), bound=None) == 12 * X * eulerian_poly(11)
 
 
+class TestClosedForms:
+    """Production odp against closed forms that share no code with the
+    kernel, past the n <= 7 that the brute-force oracles reach."""
+
+    def test_closed_forms_match_brute_force(self):
+        for n in range(1, 7):
+            assert oracles.mahonian(n) == oracles.brute_odp(n, pairs(tour(n)), pairs(tour(n)))
+            assert oracles.successions(n) == oracles.brute_odp(n, pairs(path(n)), pairs(path(n)))
+
+    def test_path_pair_is_the_succession_distribution(self):
+        assert [kernel_path(path(n), path(n), {}) for n in (12, 13)] == ["walk X", "split"]
+        for n in (10, 11, 12, 13):
+            assert odp(path(n), path(n), bound=None).coeffs == oracles.successions(n)
+
+    def test_tour_pair_is_mahonian(self):
+        # a split walk at 0.6 s; n = 11 takes 6 s, as every state keeps
+        # one row per live position
+        assert kernel_path(tour(10), tour(10), {}) == "split"
+        assert odp(tour(10), tour(10), bound=None).coeffs == oracles.mahonian(10)
+
+
 class TestOutNeighbors:
     def test_tour_path_single_witness(self):
         ws = out_neighbors(tour(3), path(3), (2, 1, 3))
