@@ -1,6 +1,6 @@
-"""Chromatic polynomials, perfect elimination orderings, and the
-sink-equivalent edge sequence from the transitive tournament down to a
-target graph.
+"""Chromatic polynomials, perfect elimination orderings, interval-clique
+labelings, and the sink-equivalent edge sequence from the transitive
+tournament down to a target graph.
 
 Chromatic polynomials count partitions into independent sets over
 induced subsets (Björklund, Husfeldt and Koivisto, SIAM J. Comput. 39,
@@ -88,8 +88,8 @@ def is_peo(graph: Digraph) -> bool:
     transitive tournament: b -> a present for all j >= b > a >= i.
     That holds exactly when every vertex's closed neighbourhood is a run
     of consecutive labels (the umbrella condition of Looges and Olariu,
-    1993), the test ``find_chordal_labeling`` below puts to the
-    ordering it builds.
+    1993), the test ``find_chordal_labeling`` also puts to the labeling
+    it builds.
     """
     if not graph.is_labeled_acyclic():
         raise ValueError("perfect elimination orderings are defined for labeled acyclic graphs")
@@ -103,33 +103,19 @@ def is_peo(graph: Digraph) -> bool:
 
 
 def find_chordal_labeling(graph: Digraph) -> Perm | None:
-    """The first vertex labeling, in lexicographic order, that is a
-    perfect elimination ordering, or None if there is none.
+    """A vertex labeling that is a perfect elimination ordering, or None
+    if there is none.
 
     A labeling re-orients every underlying edge from the larger new
     label to the smaller.  It is a PEO when every edge's label interval
     is a clique, that is when every closed neighbourhood is a run of
     labels (the umbrella condition of Looges and Olariu, 1993).  Such
     labelings exist exactly on the proper interval graphs (Roberts,
-    1969), so the claw K_{1,3} is chordal and has none.  The first one
-    is built in polynomial time, not searched for among n! labelings:
-
-    1. An edge's interval holds only labels adjacent to both its ends,
-       so each component takes a block of consecutive labels.  Blocks
-       may come in any order; the first labeling takes them by least
-       vertex.
-    2. Twins (equal closed neighbourhoods) are contiguous in every such
-       ordering, so a component is swept with one vertex per twin
-       class.  Three LBFS sweeps, the last two breaking ties toward
-       the vertex latest in the sweep before, give an umbrella ordering
-       whenever one exists (Corneil, 2004).
-    3. A connected proper interval graph's twin classes come in one
-       order up to reversal (Deng, Hell and Huang, 1996).  Each
-       direction hands every class's labels to its vertices in
-       increasing order; the component's first labeling is the smaller
-       of the two, read over its vertices in increasing order.
-
-    The run test on the result decides whether the sweeps found one.
+    1969), so the claw K_{1,3} is chordal and has none.  Three LBFS
+    sweeps, the last two breaking ties toward the vertex latest in the
+    sweep before, give one whenever one exists (Corneil, 2004); each
+    vertex is labeled by its position in the last sweep, and the run
+    test decides whether the sweeps found one.
     """
     if not (graph.is_labeled_acyclic() or graph.is_acyclic()):
         raise ValueError("chordal labelings are defined for acyclic graphs")
@@ -141,29 +127,12 @@ def find_chordal_labeling(graph: Digraph) -> Perm | None:
     for lo, hi in graph.undirected_edges():
         closed[lo - 1] |= 1 << hi - 1
         closed[hi - 1] |= 1 << lo - 1
+    order = list(range(n))
+    for _ in range(3):
+        order = _lbfs(order, closed)
     label = [0] * n
-    offset = 0
-    unplaced = (1 << n) - 1
-    while unplaced:
-        reach = frontier = unplaced & -unplaced
-        while frontier:
-            grown = 0
-            for v in _members(frontier):
-                grown |= closed[v]
-            frontier = grown & ~reach
-            reach |= grown
-        unplaced ^= reach
-        vertices = _members(reach)
-        twins: dict[int, list[int]] = {}
-        for v in vertices:
-            twins.setdefault(closed[v], []).append(v)
-        order = [group[0] for group in twins.values()]  # one vertex per twin class
-        for _ in range(3):
-            order = _lbfs(order, closed)
-        classes = [twins[closed[v]] for v in order]
-        for v, slot in zip(vertices, min(_slots(vertices, classes), _slots(vertices, classes[::-1]))):
-            label[v] = offset + slot
-        offset += len(vertices)
+    for position, v in enumerate(order, 1):
+        label[v] = position
     runs = [1 << own for own in label]
     for lo, hi in graph.undirected_edges():
         runs[lo - 1] |= 1 << label[hi - 1]
@@ -176,19 +145,10 @@ def _span(run: int) -> int:
     return (1 << run.bit_length()) - (run & -run)
 
 
-def _members(mask: int) -> list[int]:
-    """The set bits of ``mask``, lowest first."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return members
-
-
 def _lbfs(order: list[int], closed: list[int]) -> list[int]:
-    """Lexicographic breadth-first search of the connected graph on
-    ``order``, breaking ties toward the vertex latest in ``order``."""
+    """Lexicographic breadth-first search of the graph on ``order``,
+    breaking ties toward the vertex latest in ``order``; each component
+    is finished before the next is started."""
     blocks = [order[::-1]]  # vertices with equal lexicographic labels
     visited = []
     while blocks:
@@ -204,13 +164,6 @@ def _lbfs(order: list[int], closed: list[int]) -> list[int]:
                 refined.append(block)
         blocks = refined
     return visited
-
-
-def _slots(vertices: list[int], classes: list[list[int]]) -> list[int]:
-    """1-based positions of ``vertices`` when ``classes`` are laid out
-    in order, each in increasing order."""
-    slot = {v: i for i, v in enumerate((v for twins in classes for v in twins), 1)}
-    return [slot[v] for v in vertices]
 
 
 @dataclass(frozen=True)

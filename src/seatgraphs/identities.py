@@ -225,10 +225,13 @@ def verify_point_squish(
     Self-loops of Y are skipped on the right: no permutation can place
     a and b on the same vertex, so they never contribute to the left.
 
-    For a self-equivalent pair this is a theorem for every Y.  For a
-    pair that is only sink-equivalent it is a theorem when every vertex
-    of Y has in-degree at most 1, counting multiplicity (Path_n and
-    Cycle_n do).  Outside in-neighbours of b that are not in-neighbours
+    For a self-equivalent pair this is a theorem for every Y without
+    parallel edges; loops and antiparallel pairs are allowed.  A doubled
+    edge u -> v defeats it: a sigma placing a and b under both copies
+    gains 2 from the pair's edge, while the right side shifts by one x.
+    For a pair that is only sink-equivalent it is a theorem when every
+    vertex of Y has in-degree at most 1, counting multiplicity (Path_n
+    and Cycle_n do).  Outside in-neighbours of b that are not in-neighbours
     of a add Y-edges into sigma(b), which the reduced side cannot see;
     they vanish when sigma(a) is sigma(b)'s only in-neighbour in Y.
     The condition is sufficient, not necessary.  For any other Y the
@@ -280,16 +283,19 @@ def _prefix_verdict(
 def _verify_worpitzky(name: str, X_graph: Digraph, min_n: int, walk: Callable[[int], Digraph], k: int,
                       rhs: Callable[[Polynomial], Iterable[int]], truncation: int, bound: int | None) -> Verdict:
     """Both Worpitzky-like identities: ODP(X, walk(n)) / (1-x)^k against
-    ``rhs(chi)``, c_0..c_truncation from chi of X's complement."""
+    ``rhs(chi)``, c_0..c_truncation from chi of X's complement.  chi
+    goes first: it checks its price before any work, so a refusal on it
+    comes before the certificates and the ODP."""
     if not X_graph.is_labeled_acyclic() or not X_graph.is_simple():
         raise ValueError(f"the {name} is stated for simple labeled acyclic X")
     n = X_graph.n
     if n < min_n:
         raise ValueError(f"the {name} requires n >= {min_n}")
     complement = X_graph.complement()
+    chi = chromatic_poly(complement, bound=bound)
     certificates = {"x_chordal": find_chordal_labeling(X_graph) is not None, "complement_peo": is_peo(complement)}
     lhs = expand_over_one_minus_x(odp(X_graph, walk(n), bound=bound), k, truncation)
-    rhs_prefix = SeriesPrefix.from_values(rhs(chromatic_poly(complement, bound=bound)))
+    rhs_prefix = SeriesPrefix.from_values(rhs(chi))
     return _prefix_verdict(lhs, rhs_prefix, f"prefix m=0..{truncation} at n={n}", f"X={X_graph.to_json()}",
                            certificates)
 

@@ -7,7 +7,7 @@ oracles do not depend on the package's edge bookkeeping either.
 """
 from collections import Counter
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 
 def descent_distribution(n):
@@ -197,18 +197,24 @@ def g_descent_distribution(n, adjacency, cyclic=False):
     return tuple(c.get(m, 0) for m in range(max(c) + 1))
 
 
+def is_interval_clique_labeling(rho, edges):
+    """Is every edge's label interval a clique once vertex u takes label
+    rho[u-1]?  ``edges`` are undirected pairs."""
+    relabeled = {frozenset((rho[u - 1], rho[v - 1])) for u, v in edges}
+    return all(
+        frozenset((a, b)) in relabeled
+        for e in relabeled
+        for a in range(min(e), max(e) + 1)
+        for b in range(a + 1, max(e) + 1)
+    )
+
+
 def brute_chordal_labeling(n, edges):
     """First labeling rho of 1..n, in lexicographic order, under which
     every edge's label interval is a clique, or None: every labeling is
     tried.  ``edges`` are undirected pairs; vertex u gets label rho[u-1]."""
     for rho in permutations(range(1, n + 1)):
-        relabeled = {frozenset((rho[u - 1], rho[v - 1])) for u, v in edges}
-        if all(
-            frozenset((a, b)) in relabeled
-            for e in relabeled
-            for a in range(min(e), max(e) + 1)
-            for b in range(a + 1, max(e) + 1)
-        ):
+        if is_interval_clique_labeling(rho, edges):
             return rho
     return None
 
@@ -258,3 +264,33 @@ def successions(n):
         m = len(d)
         d.append(m * d[m - 1] + (m - 1) * d[m - 2])
     return tuple(comb(n - 1, k) * d[n - 1 - k] for k in range(n))
+
+
+def tour_odp(n, y_edges, pins=None):
+    """Coefficients of ODP(Tour_n, Y) over the permutations sigma with
+    sigma(i) = pins[i] at each pinned position i, by a subset DP.  Tour_n
+    has an edge b -> a for every b > a, so filling positions 1..n in
+    order, placing value v adds mult_Y(v -> u) for every value u placed
+    before it; a state is the set of values placed so far.  ``y_edges``
+    are (u, v) pairs, repeated for parallel edges; loops never count.  A
+    state's polynomial packs its coefficients into one int, ``width``
+    bits each, which no count up to n! overflows."""
+    pins = pins or {}
+    out = {v: Counter() for v in range(1, n + 1)}
+    for u, v in y_edges:
+        if u != v:
+            out[u][v] += 1
+    free = [v for v in range(1, n + 1) if v not in pins.values()]
+    width = factorial(n).bit_length() + 1
+    layer = {0: 1}  # bit v set when value v is placed
+    for i in range(1, n + 1):
+        choices = [pins[i]] if i in pins else free
+        grown = Counter()
+        for placed, poly in layer.items():
+            for v in choices:
+                if not placed >> v & 1:
+                    gain = sum(m for u, m in out[v].items() if placed >> u & 1)
+                    grown[placed | 1 << v] += poly << gain * width
+        layer = grown
+    packed = sum(layer.values())
+    return tuple(packed >> d * width & (1 << width) - 1 for d in range(-(-packed.bit_length() // width)))

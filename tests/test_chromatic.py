@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 
 import pytest
 
@@ -19,14 +19,15 @@ from seatgraphs.polynomials import Polynomial
 import oracles
 
 
-def lex_rank(rho):
-    """1-based rank of a permutation of 1..n in lexicographic order."""
-    rest = sorted(rho)
-    rank = 1
-    for i, v in enumerate(rho):
-        rank += rest.index(v) * factorial(len(rho) - 1 - i)
-        rest.remove(v)
-    return rank
+def check_labeling(n, edges, rho, brute=True):
+    """``rho`` is a permutation of 1..n under which every relabeled
+    edge's interval is a clique, or None exactly when the brute-force
+    oracle finds no such labeling (asked only when ``brute``)."""
+    if brute:
+        assert (rho is None) == (oracles.brute_chordal_labeling(n, edges) is None), (n, edges, rho)
+    if rho is not None:
+        assert sorted(rho) == list(range(1, n + 1))
+        assert oracles.is_interval_clique_labeling(rho, edges), (n, edges, rho)
 
 
 def falling(k, n):
@@ -194,8 +195,7 @@ class TestIsPeo:
 
 class TestFindChordalLabeling:
     def test_single_gap_edge_is_fixable(self):
-        rho = find_chordal_labeling(Digraph.from_edges(3, [(3, 1)]))
-        assert rho == (1, 3, 2)
+        check_labeling(3, [(1, 3)], find_chordal_labeling(Digraph.from_edges(3, [(3, 1)])))
 
     def test_directed_four_cycle_has_none(self):
         g = Digraph.from_edges(4, [(2, 1), (3, 2), (4, 3), (4, 1)])
@@ -203,12 +203,13 @@ class TestFindChordalLabeling:
 
     def test_acyclic_but_not_labeled_acyclic(self):
         # 1 -> 2 -> 3 points up the labels yet has no directed cycle
-        assert find_chordal_labeling(path(3)) == (1, 2, 3)
+        check_labeling(3, [(1, 2), (2, 3)], find_chordal_labeling(path(3)))
         with pytest.raises(ValueError, match="defined for acyclic graphs"):
             find_chordal_labeling(cycle(3))
 
-    def test_tournament_uses_identity(self):
-        assert find_chordal_labeling(tour(4)) == (1, 2, 3, 4)
+    def test_tournament_has_a_labeling(self):
+        # every labeling of a complete graph is one
+        check_labeling(4, sorted(tour(4).undirected_edges()), find_chordal_labeling(tour(4)))
 
     def test_claw_has_no_interval_clique_labeling(self):
         # K_{1,3} is chordal but no ordering puts a clique on every
@@ -260,7 +261,7 @@ class TestFindChordalLabeling:
         for n in range(1, 6):
             for _, g in enumerate_labeled_acyclic(n):
                 edges = sorted(g.undirected_edges())
-                assert find_chordal_labeling(g) == oracles.brute_chordal_labeling(n, edges)
+                check_labeling(n, edges, find_chordal_labeling(g))
 
     def test_matches_oracle_on_a_seeded_sample_at_6_and_7(self):
         rng = random.Random(2)
@@ -271,20 +272,21 @@ class TestFindChordalLabeling:
                 sample.append((n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
         claw = [(1, 2), (1, 3), (1, 4)]
         sample += [(6, claw), (7, claw)]  # plus isolated vertices
-        ranks = []
+        found = []
         for n, edges in sample:
             rho = find_chordal_labeling(Digraph.from_edges(n, [(hi, lo) for lo, hi in edges]))
-            assert rho == oracles.brute_chordal_labeling(n, edges)
-            ranks.append(lex_rank(rho) if rho else None)
-        # the sample reaches graphs with no labeling and a first labeling
-        # far into the lexicographic order
-        assert None in ranks[:8] and None in ranks[8:16]
-        assert max(r for r in ranks if r) >= 800
-        assert ranks[-2:] == [None, None]
+            check_labeling(n, edges, rho)
+            found.append(rho is not None)
+        # the sample reaches graphs with and without a labeling at each n
+        assert not all(found[:8]) and not all(found[8:16])
+        assert any(found[:8]) and any(found[8:16])
+        assert found[-2:] == [False, False]
 
     def test_search_deeper_than_the_recursion_limit(self):
         # one level per vertex, past Python's default limit of 1000
-        assert find_chordal_labeling(path(1100)) == tuple(range(1, 1101))
+        rho = find_chordal_labeling(path(1100))
+        assert rho is not None
+        check_labeling(1100, [(v, v + 1) for v in range(1, 1100)], rho, brute=False)
 
     def test_claw_among_isolated_vertices_at_1000(self):
         claw = Digraph.from_edges(1000, [(2, 1), (3, 1), (4, 1)])
@@ -296,12 +298,12 @@ class TestFindChordalLabeling:
         assert find_chordal_labeling(g) is None
 
     def test_interleaved_paths_at_1000(self):
-        # the odd labels and the even labels each form a path; the
-        # component of vertex 1 takes labels 1..500 from its least
-        # vertex up, the other takes 501..1000
+        # the odd labels and the even labels each form a path, so each
+        # component must take a block of consecutive labels
         g = Digraph.from_edges(1000, [(v + 2, v) for v in range(1, 999)])
-        expected = tuple((v + 1) // 2 if v % 2 else 500 + v // 2 for v in range(1, 1001))
-        assert find_chordal_labeling(g) == expected
+        rho = find_chordal_labeling(g)
+        assert rho is not None
+        check_labeling(1000, [(v, v + 2) for v in range(1, 999)], rho, brute=False)
 
     def test_matches_oracle_on_structured_graphs_at_6_and_7(self):
         # each graph places pieces on shuffled vertices: random unit
@@ -334,7 +336,7 @@ class TestFindChordalLabeling:
                 edges += [tuple(sorted((vertices[start + i], vertices[start + j]))) for i, j in piece]
                 start += size
             rho = find_chordal_labeling(Digraph.from_edges(n, [(hi, lo) for lo, hi in edges]))
-            assert rho == oracles.brute_chordal_labeling(n, edges), (n, edges)
+            check_labeling(n, edges, rho)
             assert (rho is None) == (k % 3 == 0)
             closed = {v: {v} for v in range(1, n + 1)}
             for u, v in edges:

@@ -247,6 +247,64 @@ class TestClosedForms:
         assert odp(tour(10), tour(10), bound=None).coeffs == oracles.mahonian(10)
 
 
+def subset_dp_edge_slice(y, a, b):
+    """The edge slice (a, b) of Tour_n against y from the subset DP: the
+    sum over y's non-loop edges u -> v of mult_Y(u -> v) times the sum
+    pinned sigma(a) = u, sigma(b) = v."""
+    parts = (m * Polynomial(oracles.tour_odp(y.n, pairs(y), {a: u, b: v})) for u, v, m in y.edge_counts if u != v)
+    return sum(parts, Polynomial(())).coeffs
+
+
+def assert_tour_matches_subset_dp(y, assign, edge=None):
+    """Production odp, the assignment slice ``assign`` and the edge slice
+    ``edge``, if given, of Tour_n against y, unbounded, equal the subset
+    DP's."""
+    n, ye = y.n, pairs(y)
+    assert odp(tour(n), y, bound=None).coeffs == oracles.tour_odp(n, ye)
+    i, j = assign
+    assert odp_assign_slice(tour(n), y, i, j, bound=None).coeffs == oracles.tour_odp(n, ye, {i: j})
+    if edge is not None:
+        assert odp_edge_slice(tour(n), y, *edge, bound=None).coeffs == subset_dp_edge_slice(y, *edge)
+
+
+class TestTourSubsetDp:
+    """Production ODP of Tour_n against the subset DP over placed values,
+    which shares no code with the kernel, past the n <= 7 that the
+    brute-force oracles reach."""
+
+    def test_subset_dp_matches_brute_force(self):
+        for _, y in random_pairs():
+            n = y.n
+            assert oracles.tour_odp(n, pairs(y)) == oracles.brute_odp(n, pairs(tour(n)), pairs(y))
+            assert oracles.tour_odp(n, pairs(y), {n: 1}) == oracles.brute_assign_slice(
+                n, pairs(tour(n)), pairs(y), n, 1)
+            if n >= 2:
+                assert subset_dp_edge_slice(y, n, 1) == oracles.brute_edge_slice(n, pairs(tour(n)), pairs(y), n, 1)
+
+    def test_half_dense_y_at_10(self):
+        # about 1 s each; one Y is simple, the other has loops and
+        # doubled edges, and every sum splits
+        rng = random.Random(24)
+        n = 10
+        every = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+        drawn = rng.sample(every, len(every) // 2)
+        multi = Digraph.from_edges(n, drawn + rng.sample(drawn, 5))
+        assert any(u == v for u, v, _ in multi.edge_counts) and any(m > 1 for _, _, m in multi.edge_counts)
+        for y in (dense_digraph(rng, n), multi):
+            assert kernel_path(tour(n), y, {}) == kernel_path(tour(n), y, {3: 4}) == "split"
+            assert_tour_matches_subset_dp(y, (3, 4))
+
+    @pytest.mark.parametrize("n, cap", [(11, 2048), (12, 4096), (13, 8192)])
+    def test_narrow_y_walked_and_split_at_11_to_13(self, monkeypatch, n, cap):
+        # Y's frontier is at most two positions wide, so every sum walks
+        # Y's side; at this cap the whole sum splits once
+        monkeypatch.setattr(dfsgraph, "_STATE_CAP", cap)
+        y = narrow_multigraph(random.Random(n), n)
+        assert kernel_path(tour(n), y, {}) == "split"
+        assert kernel_path(tour(n), y, {3: 4}) == kernel_path(tour(n), y, {7: 1, 2: 2}) == "walk Y"
+        assert_tour_matches_subset_dp(y, (3, 4), (7, 2))
+
+
 class TestOutNeighbors:
     def test_tour_path_single_witness(self):
         ws = out_neighbors(tour(3), path(3), (2, 1, 3))

@@ -20,6 +20,7 @@ from seatgraphs.identities import (
     verify_self_equivalent_slice,
     verify_subgraph_monotonicity,
 )
+from seatgraphs.limits import BoundExceededError
 from seatgraphs.polynomials import Polynomial, eulerian_poly
 
 import oracles
@@ -295,6 +296,16 @@ class TestPointSquish:
         x = Digraph.from_edges(3, [(2, 1), (3, 1)])
         assert verify_point_squish(x, path(3), 2, 1).holds
 
+    def test_parallel_y_edges_are_a_counterexample(self):
+        # the pair of Tour_2 is self-equivalent, yet under a doubled
+        # 1 -> 2 the left slice gains 2 from the pair's edge while the
+        # squished side shifts by one x
+        x, y = tour(2), Digraph.from_edges(2, [(1, 2), (1, 2)])
+        assert x.is_self_equivalent({1, 2})
+        verdict = verify_point_squish(x, y, 2, 1)
+        assert not verdict.holds
+        assert (verdict.counterexample.lhs, verdict.counterexample.rhs) == ("2*x^2", "2*x")
+
 
 class TestPathIdentity:
     def test_worpitzky_for_tournaments(self):
@@ -335,6 +346,18 @@ class TestPathIdentity:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="the path identity is stated for simple labeled acyclic X"):
             verify_path_identity(path(3), 8)
+
+
+@pytest.mark.parametrize("verify", [verify_path_identity, verify_cycle_identity])
+def test_chi_refused_before_any_odp_work(verify, monkeypatch):
+    # chi of K_17 is priced past the work bound; the refusal must come
+    # before the admitted ODP runs
+    def no_odp(*args, **kwargs):
+        raise AssertionError("odp ran before chi was priced")
+
+    monkeypatch.setattr(identities, "odp", no_odp)
+    with pytest.raises(BoundExceededError, match="chromatic polynomial"):
+        verify(Digraph.from_edges(17, []), 2)
 
 
 class TestCycleBase:
