@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digraph import Digraph
+from .digraph import Digraph, tour
 from .limits import WORK_BOUND, check_bound
 from .permutations import Perm
 from .polynomials import ZERO, Polynomial
@@ -52,6 +52,12 @@ def _partition_counts(closed: tuple[int, ...]) -> list[int]:
     return [(todo[0][0] >> shift * j) & ((1 << shift) - 1) for j in range(n + 1)]
 
 
+def check_chromatic_price(c: int, bound: int | None) -> None:
+    """Refuse chi of a graph with c vertices that are not isolated when
+    its price, (3^c - 1)/2 steps, is above ``bound``."""
+    check_bound("chromatic polynomial", (3 ** c - 1) // 2, bound)
+
+
 def chromatic_poly(graph: Digraph, bound: int | None = WORK_BOUND) -> Polynomial:
     """Chromatic polynomial of the underlying undirected graph, in k:
     sum_j a_j k(k-1)...(k-j+1) over the numbers j of colour classes.
@@ -65,7 +71,7 @@ def chromatic_poly(graph: Digraph, bound: int | None = WORK_BOUND) -> Polynomial
     if any(u == v for u, v in edges):
         return ZERO
     used = sorted({v for e in edges for v in e})
-    check_bound("chromatic polynomial", (3 ** len(used) - 1) // 2, bound)
+    check_chromatic_price(len(used), bound)
     rank = {v: i for i, v in enumerate(used)}
     closed = [1 << i for i in range(len(used))]
     for u, v in edges:
@@ -222,7 +228,10 @@ def chordal_sequence(graph: Digraph) -> ChordalSequence:
     """Build Tour_n = X_0, ..., X_k = X by reversing the greedy choice:
     in the complement of the current graph, take the smallest vertex a
     with positive indegree and the largest b with an edge b -> a, and
-    put b -> a back.
+    put b -> a back.  That order is one sort of X's complement edges
+    b -> a on (a, -b): putting b -> a back lowers only a's indegree in
+    the complement, so the greedy takes all of a's sources, the largest
+    b first, before it moves on to the next a.
 
     Requires X labeled acyclic and simple with a complement that is a
     PEO as labeled.  Each removal is certified
@@ -238,29 +247,16 @@ def chordal_sequence(graph: Digraph) -> ChordalSequence:
     if not is_peo(comp):
         raise ValueError("hypothesis failure: complement of X is not a PEO as labeled")
 
-    # walk upward from X to Tour_n, then reverse
-    upward: list[tuple[Digraph, tuple[int, int] | None]] = [(graph, None)]
-    current = graph
-    while True:
-        comp = current.complement()
-        sources_to: dict[int, list[int]] = {}
-        for u, v, _ in comp.edge_counts:
-            sources_to.setdefault(v, []).append(u)
-        if not sources_to:
-            break
-        a = min(sources_to)
-        b = max(sources_to[a])
-        current = current.add_edge(b, a)
-        upward.append((current, (b, a)))
-
-    steps = []
-    for g, removed in reversed(upward):
-        sink = g.is_sink_equivalent(set(removed)) if removed else None
-        if removed and not sink:
+    # Tour_n down to X: the greedy's choices, last first
+    steps, current = [], tour(graph.n)
+    for b, a, _ in sorted(comp.edge_counts, key=lambda e: (e[1], -e[0]), reverse=True):
+        if not current.is_sink_equivalent({a, b}):
             raise ValueError(
-                f"certificate failure: pair {removed} is not sink-equivalent in the graph containing it"
+                f"certificate failure: pair {(b, a)} is not sink-equivalent in the graph containing it"
             )
-        steps.append(ChordalStep(g, removed, sink, is_peo(g.complement())))
+        steps.append(ChordalStep(current, (b, a), True, is_peo(current.complement())))
+        current = current.remove_edge(b, a)
+    steps.append(ChordalStep(graph, None, None, is_peo(comp)))
     return ChordalSequence(tuple(steps))
 
 
@@ -270,8 +266,6 @@ def enumerate_labeled_acyclic(n: int) -> Iterator[tuple[int, Digraph]]:
     Yields (graph_id, graph) where graph_id is the bitmask over the
     lexicographically sorted tournament edge list.
     """
-    from .digraph import tour
-
     edge_list = [(u, v) for u, v, _ in tour(n).edge_counts]
     for mask in range(1 << len(edge_list)):
         chosen = [e for i, e in enumerate(edge_list) if mask >> i & 1]

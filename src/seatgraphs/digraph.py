@@ -109,23 +109,18 @@ class Digraph:
 
     def is_acyclic(self) -> bool:
         """No directed cycle; a self-loop counts as a cycle."""
-        if any(u == v for u, v, _ in self.edge_counts):
-            return False
-        succ: dict[int, list[int]] = {v: [] for v in self.labels}
-        indeg = {v: 0 for v in self.labels}
+        # imported on use, not at start-up: the CLI reaches this only through
+        # find_chordal_labeling, which skips it on labeled acyclic input
+        from graphlib import CycleError, TopologicalSorter
+
+        sorter = TopologicalSorter()
         for u, v, _ in self.edge_counts:
-            succ[u].append(v)
-            indeg[v] += 1
-        queue = [v for v in self.labels if indeg[v] == 0]
-        removed = 0
-        while queue:
-            u = queue.pop()
-            removed += 1
-            for v in succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        return removed == self.n
+            sorter.add(v, u)
+        try:
+            sorter.prepare()
+        except CycleError:
+            return False
+        return True
 
     def _uniform_against_outside(self, subset: Iterable[int], outward: bool) -> bool:
         """For each outside vertex t, every member s of the subset has the

@@ -11,13 +11,13 @@ preconditions (certificates) and resource bounds.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import factorial
 from operator import mul
 from typing import Callable, Iterable
 
-from .chromatic import chromatic_poly, enumerate_labeled_acyclic, find_chordal_labeling, is_peo
+from .chromatic import check_chromatic_price, chromatic_poly, enumerate_labeled_acyclic, find_chordal_labeling, is_peo
 from .digraph import Digraph, cycle, path, tour
 from .dfsgraph import odp, odp_assign_slice, odp_edge_slice, witness_rows
 from .limits import DEFAULT_TRUNCATION, WORK_BOUND, check_bound
@@ -284,13 +284,16 @@ def _verify_worpitzky(name: str, X_graph: Digraph, min_n: int, walk: Callable[[i
                       rhs: Callable[[Polynomial], Iterable[int]], truncation: int, bound: int | None) -> Verdict:
     """Both Worpitzky-like identities: ODP(X, walk(n)) / (1-x)^k against
     ``rhs(chi)``, c_0..c_truncation from chi of X's complement.  chi
-    goes first: it checks its price before any work, so a refusal on it
-    comes before the certificates and the ODP."""
+    is priced first, from X's degrees: a vertex X joins to all n - 1
+    others is isolated in the complement, so a refusal on chi comes
+    before the complement is built, the certificates and the ODP."""
     if not X_graph.is_labeled_acyclic() or not X_graph.is_simple():
         raise ValueError(f"the {name} is stated for simple labeled acyclic X")
     n = X_graph.n
     if n < min_n:
         raise ValueError(f"the {name} requires n >= {min_n}")
+    joined = Counter(v for u, w, _ in X_graph.edge_counts for v in (u, w))
+    check_chromatic_price(sum(joined[v] < n - 1 for v in X_graph.labels), bound)
     complement = X_graph.complement()
     chi = chromatic_poly(complement, bound=bound)
     certificates = {"x_chordal": find_chordal_labeling(X_graph) is not None, "complement_peo": is_peo(complement)}
@@ -391,10 +394,7 @@ def verify_generalized_equals_odp(
     n = graph.n
     # the left side's enumeration checks the bound before it starts
     lhs = generalized_eulerian_poly(graph, cyclic, bound=bound)
-    oriented = Digraph.from_edges(
-        n, ((hi, lo) for lo, hi in graph.undirected_edges() if lo != hi)
-    )
-    rhs = odp(cycle(n) if cyclic else path(n), oriented, bound=None)
+    rhs = odp(cycle(n) if cyclic else path(n), Digraph.from_edges(n, graph.descending_pairs), bound=None)
     return _poly_verdict(lhs, rhs, f"{'cyclic ' if cyclic else ''}G-descent distribution over S_{n}",
                          f"G={graph.to_json()}, cyclic={cyclic}")
 

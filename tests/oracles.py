@@ -219,6 +219,24 @@ def brute_chordal_labeling(n, edges):
     return None
 
 
+def greedy_chordal_removals(n, edges):
+    """The edges Tour_n -> ... -> X removes, in order, for a simple X
+    with every edge (u, v) having u > v: from X, put back the missing
+    tournament edge b -> a with the least a that misses one and, for
+    that a, the largest b, rescanning every pair after each step; the
+    edges put back, last first, are the removals."""
+    present = set(edges)
+    put_back = []
+    while True:
+        missing = [(b, a) for b in range(1, n + 1) for a in range(1, b) if (b, a) not in present]
+        if not missing:
+            return put_back[::-1]
+        a = min(a for _, a in missing)
+        b = max(b for b, a2 in missing if a2 == a)
+        present.add((b, a))
+        put_back.append((b, a))
+
+
 def is_transitive(edges):
     """Is the relation given by the (u, v) pairs ``edges`` transitively
     closed: u -> v and v -> w always with u -> w?"""

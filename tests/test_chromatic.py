@@ -451,6 +451,39 @@ class TestChordalSequence:
                     refused += 1
         assert refused == 641
 
+    @staticmethod
+    def removals(x):
+        seq = chordal_sequence(x)
+        assert seq.steps[-1].removed is None
+        return [s.removed for s in seq.steps[:-1]]
+
+    def test_removals_match_greedy_search_exhaustive_n6(self):
+        # every X on n <= 6 whose complement is a PEO as labeled: the
+        # Catalan numbers 1 + 2 + 5 + 14 + 42 + 132
+        seen = 0
+        for n in range(1, 7):
+            for _, x in enumerate_labeled_acyclic(n):
+                if is_peo(x.complement()):
+                    edges = [(u, v) for u, v, _ in x.edge_counts]
+                    assert self.removals(x) == oracles.greedy_chordal_removals(n, edges), x
+                    seen += 1
+        assert seen == 196
+
+    def test_removals_match_greedy_search_seeded_n8_to_12(self):
+        # the complement joins i to i+1..r(i) for a nondecreasing r, which
+        # makes it a PEO as labeled
+        rng = random.Random(24)
+        for _ in range(100):
+            n = rng.randint(8, 12)
+            reach = 1
+            missing = set()
+            for i in range(1, n + 1):
+                reach = rng.randint(max(i, reach), n)
+                missing |= {(j, i) for j in range(i + 1, reach + 1)}
+            edges = [(b, a) for b in range(1, n + 1) for a in range(1, b) if (b, a) not in missing]
+            x = Digraph.from_edges(n, edges)
+            assert self.removals(x) == oracles.greedy_chordal_removals(n, edges), x
+
     def test_json_shape(self):
         seq = chordal_sequence(Digraph.from_edges(3, [(3, 1)]))
         obj = seq.to_json_obj()

@@ -166,13 +166,15 @@ class TestPredicates:
                 assert g.is_acyclic()
 
     def test_cycle_oracle_agrees_exhaustive_n3(self):
-        # every loop-free digraph on 1..3, and each with a self-loop added
-        edge_pool = [(u, v) for u in range(1, 4) for v in range(1, 4) if u != v]
-        for mask in range(1 << 6):
-            edges = [e for i, e in enumerate(edge_pool) if mask >> i & 1]
-            for extra in ([], [(2, 2)]):
-                g = Digraph.from_edges(3, edges + extra)
-                assert oracles.has_directed_cycle(g.edges()) == (not g.is_acyclic())
+        # every loop-free digraph on 1..3 and on 1..4, and each with a
+        # self-loop added
+        for n in (3, 4):
+            edge_pool = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+            for mask in range(1 << len(edge_pool)):
+                edges = [e for i, e in enumerate(edge_pool) if mask >> i & 1]
+                for extra in ([], [(2, 2)]):
+                    g = Digraph.from_edges(n, edges + extra)
+                    assert oracles.has_directed_cycle(g.edges()) == (not g.is_acyclic())
 
 
 class TestEquivalence:

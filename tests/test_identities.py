@@ -360,6 +360,18 @@ def test_chi_refused_before_any_odp_work(verify, monkeypatch):
         verify(Digraph.from_edges(17, []), 2)
 
 
+@pytest.mark.parametrize("verify", [verify_path_identity, verify_cycle_identity])
+def test_chi_refused_before_the_complement_is_built(verify, monkeypatch):
+    # chi of the complement of edgeless n = 700 is K_700, priced from
+    # X's degrees alone
+    def no_complement(self):
+        raise AssertionError("the complement was built before chi was priced")
+
+    monkeypatch.setattr(Digraph, "complement", no_complement)
+    with pytest.raises(BoundExceededError, match="chromatic polynomial would take more than 10"):
+        verify(Digraph.from_edges(700, []), 2)
+
+
 class TestCycleBase:
     def test_degenerate_n1(self):
         assert verify_cycle_base(1, 10).holds
