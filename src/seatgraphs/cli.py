@@ -229,17 +229,12 @@ def _verdict_text(name: str, verdict: Verdict) -> str:
 
 
 def _sweep_csv(rows) -> str:
+    """The rows' JSON objects as CSV, one at a time, the header their keys
+    (a sweep has at least one row); csv writes None as an empty field."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["graph_id", "n", "edges", "cert_X_chordal",
-                     "cert_comp_chordal", "identity", "first_bad_m"])
-    for r in rows:
-        writer.writerow([
-            r.graph_id, r.n, r.edges,
-            _format_bool(r.cert_x_chordal), _format_bool(r.cert_comp_chordal),
-            _format_bool(r.identity),
-            "" if r.first_bad_m is None else r.first_bad_m,
-        ])
+    writer.writerow(rows[0].to_json_obj())
+    writer.writerows([_format_bool(v) if isinstance(v, bool) else v for v in r.to_json_obj().values()] for r in rows)
     return buf.getvalue()
 
 

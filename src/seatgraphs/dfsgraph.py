@@ -38,14 +38,17 @@ sigma(i) = j into sigma^-1(j) = i.  So the walk may run over either
 graph: the kernel prices the label order and a greedy fewest-live order
 on both sides by the state-count bound and takes the cheapest.  A walk
 whose level could exceed a fixed state cap is split instead: of the
-positions live at that level, the one that stays live longest is pinned
-to each free value in turn and every part is walked.  A level with no
-live position holds only subsets of the values and is never split.  The
-stream is the base case, taken whenever its price is lower, which is how
-small n (where n! beats any state table) and graphs wide on both sides
-are handled.  A sum's price against the work bound is its parts' chosen
-prices (one part per Y-edge for an edge slice, before the rewrite
-below), checked before any runs.
+positions live at that level, the one that stays live longest joins a
+flat list of split positions and the rest is planned again, until no
+level over the cap has a live position.  The last walk planned then
+runs once for each arrangement of distinct free values over the k split
+positions, perm(F, k) walks.  A level with no live position holds only
+subsets of the values and is never split.  The stream is the base case,
+taken whenever its price is lower, which is how small n (where n! beats
+any state table) and graphs wide on both sides are handled.  A sum's
+price against the work bound is its parts' chosen prices (one part per
+Y-edge for an edge slice, before the rewrite below), checked before any
+runs.
 
 Before the parts are priced they are rewritten by the rotation
 rho: v -> v mod n + 1 (n >= 2) of any side it maps onto itself, edge
@@ -249,24 +252,26 @@ def _odp_poly(X: Digraph, Y: Digraph, parts: list[tuple[int, dict[int, int]]], w
     width = factorial(n).bit_length() + 1
     low = (1 << width) - 1
     coeffs: list[int] = []
-    for weight, _, plan, side in chosen:
-        packed = _stream(n, *side, width) if plan is None else _run(n, *side, plan, width)
+    for weight, _, plan, (walked, other, pins) in chosen:
+        # a plan walks once per arrangement of the free values over its splits
+        free = [v for v in range(1, n + 1) if v not in pins.values()]
+        packed = _stream(n, walked, other, pins, width) if plan is None else sum(
+            _walk(n, walked, other, {**pins, **dict(zip(plan.splits, split))}, plan.order, width)
+            for split in permutations(free, len(plan.splits)))
         part = [weight * (packed >> d * width & low) for d in range(packed.bit_length() // width + 1)]
         coeffs = [a + b for a, b in zip_longest(coeffs, part, fillvalue=0)]
     return Polynomial(tuple(coeffs))
 
 
 class _Plan(NamedTuple):
-    """How to walk one graph with some positions pinned: one walk in
-    ``order``, or, when a level of that walk would hold more than
-    ``_STATE_CAP`` states with some position live, a split that pins
-    ``pin`` to each free value in turn and walks every part by
-    ``part``."""
+    """How to walk one graph with some positions pinned: pin ``splits``
+    to each arrangement of distinct free values in turn, and walk the
+    remaining free positions in ``order`` once per arrangement.  With no
+    split that is a single walk."""
 
-    cost: int  # priced walk steps, every part included
-    order: list[int]  # free positions in walk order
-    pin: int | None = None
-    part: _Plan | None = None
+    cost: int  # priced walk steps, every walk included
+    order: list[int]  # free positions in walk order, splits excluded
+    splits: list[int]  # positions pinned to every arrangement, in split order
 
 
 def _choose(X: Digraph, Y: Digraph, pinned: dict[int, int], what: str = "",
@@ -296,34 +301,29 @@ def _choose(X: Digraph, Y: Digraph, pinned: dict[int, int], what: str = "",
     return stream, None, min(sides, key=lambda side: len(side[0]))
 
 
-def _run(n: int, walked: dict, other: dict, pins: dict[int, int], plan: _Plan, width: int) -> int:
-    if plan.part is None:
-        return _walk(n, walked, other, pins, plan.order, width)
-    return sum(_run(n, walked, other, {**pins, plan.pin: v}, plan.part, width)
-               for v in range(1, n + 1) if v not in pins.values())
-
-
 def _plan(n: int, walked: dict, pinned: set[int]) -> _Plan:
     """The cheaper of two orders of the free positions.  While a level
     exceeds the cap, split on the position that stays live longest among
-    those live at such a level; a level with none live is not split."""
-    nbrs: dict[int, set[int]] = {i: set() for i in range(1, n + 1) if i not in pinned}
-    for a, b in walked:
-        if a in nbrs and b in nbrs:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-    cost, levels, order, last = min(_price(nbrs, list(nbrs)), _price(nbrs, _greedy_order(nbrs)),
-                                    key=lambda priced: priced[0])
-    step = {p: t for t, p in enumerate(order)}
-    over = [t for t, size in enumerate(levels) if size > _STATE_CAP]
-    # a level with no live position holds bare subsets of the free
-    # values: pinning would multiply the walk and merge nothing
-    live = [p for p in order if any(step[p] <= t < last[p] for t in over)]
-    if not live:
-        return _Plan(cost, order)
-    pin = max(live, key=lambda p: last[p] - step[p])
-    part = _plan(n, walked, pinned | {pin})
-    return _Plan(len(order) * part.cost, order, pin, part)
+    those live at such a level, and plan the rest again; a level with
+    none live is not split.  Each of the perm(F, k) arrangements of the
+    F free values over k splits is one walk at the last plan's cost."""
+    splits: list[int] = []
+    while True:
+        nbrs: dict[int, set[int]] = {i: set() for i in range(1, n + 1) if i not in pinned and i not in splits}
+        for a, b in walked:
+            if a in nbrs and b in nbrs:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+        cost, levels, order, last = min(_price(nbrs, list(nbrs)), _price(nbrs, _greedy_order(nbrs)),
+                                        key=lambda priced: priced[0])
+        step = {p: t for t, p in enumerate(order)}
+        over = [t for t, size in enumerate(levels) if size > _STATE_CAP]
+        # a level with no live position holds bare subsets of the free
+        # values: pinning would multiply the walk and merge nothing
+        live = [p for p in order if any(step[p] <= t < last[p] for t in over)]
+        if not live:
+            return _Plan(perm(len(order) + len(splits), len(splits)) * cost, order, splits)
+        splits.append(max(live, key=lambda p: last[p] - step[p]))
 
 
 def _greedy_order(nbrs: dict[int, set[int]]) -> list[int]:
@@ -334,11 +334,7 @@ def _greedy_order(nbrs: dict[int, set[int]]) -> list[int]:
     order: list[int] = []
     unplaced = list(nbrs)
     while unplaced:
-        best, fewest = 0, len(nbrs)
-        for i in unplaced:
-            change = (left[i] > 0) - sum(1 for j in nbrs[i] if left[j] == 1 and j in live)
-            if change < fewest:
-                best, fewest = i, change
+        best = min(unplaced, key=lambda i: (left[i] > 0) - sum(1 for j in nbrs[i] if left[j] == 1 and j in live))
         unplaced.remove(best)
         order.append(best)
         for j in nbrs[best]:
@@ -449,10 +445,10 @@ def _walk(n: int, walked: dict, other: dict, pins: dict[int, int], order: list[i
         steps = [(1 << k, at + k * bits, (1 << k) + sum(row(i, p, v) for i in later), ~(gone | cols[k]))
                  for k, v in enumerate(values)]
         # the moves out of each set of used values: the field that prices
-        # placing p at a free value, the add, and the mask that clears p's
-        # row and the new value's column, and the used values' columns when
-        # p's adds reach them
-        moves: dict[int, list[tuple[int, int, int, int]]] = {}
+        # placing p at a free value (0 bits wide when p has no row), the
+        # add, and the mask that clears p's row, the new value's column and
+        # the used values' columns, which p's adds may have reached
+        moves: dict[int, list[tuple[int, int, int]]] = {}
         nxt: dict[int, int] = {}
         get = nxt.get
         while cur:
@@ -460,20 +456,11 @@ def _walk(n: int, walked: dict, other: dict, pins: dict[int, int], order: list[i
             used = key & full
             scan = moves.get(used)
             if scan is None:
-                if later:
-                    unused = ~sum(cols[k] for k in range(free) if used >> k & 1)
-                    scan = [(b, off, add, keep & unused) for b, off, add, keep in steps if not used & b]
-                else:
-                    scan = [move for move in steps if not used & move[0]]
-                moves[used] = scan
-            if bits:
-                for _, off, add, keep in scan:
-                    moved = (key + add) & keep
-                    nxt[moved] = get(moved, 0) + (poly << ((key >> off) & mask) * width)
-            else:  # p has no row: no placement of it adds anything
-                for _, _, add, keep in scan:
-                    moved = (key + add) & keep
-                    nxt[moved] = get(moved, 0) + poly
+                unused = ~sum(cols[k] for k in range(free) if used >> k & 1)
+                scan = moves[used] = [(off, add, keep & unused) for b, off, add, keep in steps if not used & b]
+            for off, add, keep in scan:
+                moved = (key + add) & keep
+                nxt[moved] = get(moved, 0) + (poly << ((key >> off) & mask) * width)
         cur = nxt
     return sum(cur.values())
 

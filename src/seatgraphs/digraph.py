@@ -205,10 +205,6 @@ class Digraph:
         pairs = [(label[a], label[b]) for a, b in self.edges() if {a, b} != {u, v}]
         return Digraph.from_edges(self.n - 1, pairs)
 
-    def add_edge(self, u: int, v: int) -> Digraph:
-        """Return the graph with one more copy of u -> v."""
-        return Digraph.from_edges(self.n, list(self.edges()) + [(u, v)])
-
     def remove_edge(self, u: int, v: int) -> Digraph:
         """Return the graph with one copy of u -> v removed."""
         if (u, v) not in self._mult:

@@ -285,8 +285,9 @@ def _verify_worpitzky(name: str, X_graph: Digraph, min_n: int, walk: Callable[[i
     """Both Worpitzky-like identities: ODP(X, walk(n)) / (1-x)^k against
     ``rhs(chi)``, c_0..c_truncation from chi of X's complement.  chi
     is priced first, from X's degrees: a vertex X joins to all n - 1
-    others is isolated in the complement, so a refusal on chi comes
-    before the complement is built, the certificates and the ODP."""
+    others is isolated in the complement.  The ODP, which prices itself,
+    comes next, so a refusal on either comes before the complement is
+    built and before chi and the certificates."""
     if not X_graph.is_labeled_acyclic() or not X_graph.is_simple():
         raise ValueError(f"the {name} is stated for simple labeled acyclic X")
     n = X_graph.n
@@ -294,10 +295,10 @@ def _verify_worpitzky(name: str, X_graph: Digraph, min_n: int, walk: Callable[[i
         raise ValueError(f"the {name} requires n >= {min_n}")
     joined = Counter(v for u, w, _ in X_graph.edge_counts for v in (u, w))
     check_chromatic_price(sum(joined[v] < n - 1 for v in X_graph.labels), bound)
+    lhs = expand_over_one_minus_x(odp(X_graph, walk(n), bound=bound), k, truncation)
     complement = X_graph.complement()
     chi = chromatic_poly(complement, bound=bound)
     certificates = {"x_chordal": find_chordal_labeling(X_graph) is not None, "complement_peo": is_peo(complement)}
-    lhs = expand_over_one_minus_x(odp(X_graph, walk(n), bound=bound), k, truncation)
     rhs_prefix = SeriesPrefix.from_values(rhs(chi))
     return _prefix_verdict(lhs, rhs_prefix, f"prefix m=0..{truncation} at n={n}", f"X={X_graph.to_json()}",
                            certificates)

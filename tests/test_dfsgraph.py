@@ -1,7 +1,7 @@
 import json
 import random
 from functools import cache
-from math import factorial
+from math import factorial, perm
 
 import pytest
 
@@ -75,7 +75,7 @@ def kernel_path(x, y, pinned):
     _, plan, side = dfsgraph._choose(x, y, pinned)
     if plan is None:
         return "stream"
-    if plan.part is not None:
+    if plan.splits:
         return "split"
     walked_x = side[0] == {(a, b): m for a, b, m in x.edge_counts if a != b}
     return "walk X" if walked_x else "walk Y"
@@ -200,6 +200,22 @@ class TestKernelPaths:
         assert {kernel_path(x, y, {1: 2}) for x, y in kernel_pairs()} - {"stream"}
         assert_kernel_matches_oracles()
 
+    def test_forced_split_walks_once_per_arrangement(self, monkeypatch):
+        # the split positions take every arrangement of distinct free
+        # values, one walk each, and the walks sum to the oracle's ODP
+        monkeypatch.setattr(dfsgraph, "_WALK_COST", 0)
+        monkeypatch.setattr(dfsgraph, "_STATE_CAP", 16)
+        x, y, whole, _, _ = dense_expectations()[0]
+        assert not dfsgraph._rotates(x) and not dfsgraph._rotates(y)
+        _, plan, _ = dfsgraph._choose(x, y, {})
+        assert len(plan.splits) >= 2
+        calls = []
+        walk = dfsgraph._walk
+        monkeypatch.setattr(dfsgraph, "_walk", lambda *args: calls.append(args[3]) or walk(*args))
+        assert odp(x, y).coeffs == whole
+        assert len(calls) == perm(x.n, len(plan.splits))
+        assert len({tuple(pins[p] for p in plan.splits) for pins in calls}) == len(calls)
+
     def test_bare_subset_levels_are_not_split(self):
         # no position of an edgeless graph is ever live, so its walk's
         # states are bare subsets of the values: the comb(15, 7) = 6435
@@ -207,7 +223,7 @@ class TestKernelPaths:
         # merge any of them
         g = Digraph.from_edges(15, [])
         _, plan, _ = dfsgraph._choose(g, g, {})
-        assert plan is not None and plan.pin is None
+        assert plan is not None and not plan.splits
         assert odp(g, g, bound=None) == Polynomial((factorial(15),))
 
     def test_bare_subset_levels_over_the_cap_are_not_split(self, monkeypatch):
@@ -216,7 +232,7 @@ class TestKernelPaths:
         monkeypatch.setattr(dfsgraph, "_STATE_CAP", 4096)
         g = Digraph.from_edges(15, [])
         _, plan, _ = dfsgraph._choose(g, g, {})
-        assert plan is not None and plan.pin is None
+        assert plan is not None and not plan.splits
         assert odp(g, g, bound=None) == Polynomial((factorial(15),))
 
     def test_walk_reaches_n12(self):
@@ -421,7 +437,7 @@ class TestWorkBound:
 
     def test_no_input_at_n9_is_refused(self, monkeypatch):
         monkeypatch.setattr(dfsgraph, "_stream", lambda *args: 0)
-        monkeypatch.setattr(dfsgraph, "_run", lambda *args: 0)
+        monkeypatch.setattr(dfsgraph, "_walk", lambda *args: 0)
         # every ordered pair twice, on both sides: the stream's price,
         # 9! * 73, bounds every sum and slice at n <= 9 from above
         ordered = [(u, v) for u in range(1, 10) for v in range(1, 10) if u != v]
@@ -436,7 +452,7 @@ class TestWorkBound:
             raise AssertionError("a part ran before the slice was priced")
 
         monkeypatch.setattr(dfsgraph, "_stream", never)
-        monkeypatch.setattr(dfsgraph, "_run", never)
+        monkeypatch.setattr(dfsgraph, "_walk", never)
         # 55 parts, one per edge u -> v of Tour_11, each within the bound alone
         assert dfsgraph._choose(tour(11), tour(11), {2: 2, 1: 1})[0] <= WORK_BOUND
         with pytest.raises(BoundExceededError, match=r"ODP edge slice would take \d+ steps"):
@@ -446,7 +462,7 @@ class TestWorkBound:
         # the rotation quotient pins sigma(1) = 1 before pricing: Cycle_14
         # is admitted in either order, Cycle_15 is not
         monkeypatch.setattr(dfsgraph, "_stream", lambda *args: 0)
-        monkeypatch.setattr(dfsgraph, "_run", lambda *args: 0)
+        monkeypatch.setattr(dfsgraph, "_walk", lambda *args: 0)
         assert dfsgraph._choose(tour(14), cycle(14), {})[0] > WORK_BOUND
         assert odp(tour(14), cycle(14)).is_zero()
         assert odp(cycle(14), tour(14)).is_zero()

@@ -372,6 +372,19 @@ def test_chi_refused_before_the_complement_is_built(verify, monkeypatch):
         verify(Digraph.from_edges(700, []), 2)
 
 
+@pytest.mark.parametrize("verify", [verify_path_identity, verify_cycle_identity])
+def test_odp_refused_before_the_complement_and_certificates(verify, monkeypatch):
+    # chi of Tour_40's edgeless complement is admitted; the ODP is priced
+    # past the work bound, and must refuse before the other work starts
+    def not_yet(*args):
+        raise AssertionError("the complement or a certificate came before the ODP was priced")
+
+    monkeypatch.setattr(Digraph, "complement", not_yet)
+    monkeypatch.setattr(identities, "find_chordal_labeling", not_yet)
+    with pytest.raises(BoundExceededError, match="outdegree polynomial would take"):
+        verify(tour(40))
+
+
 class TestCycleBase:
     def test_degenerate_n1(self):
         assert verify_cycle_base(1, 10).holds
