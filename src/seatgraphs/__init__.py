@@ -2,7 +2,7 @@
 identity verification at desk scale."""
 
 from .digraph import Digraph, cycle, path, tour
-from .dfsgraph import DfsEdgeWitness, MaterializedDfs, materialize, odp, odp_assign_slice, odp_edge_slice, out_neighbors, outdegree
+from .dfsgraph import DfsEdgeWitness, MaterializedDfs, materialize, odp, odp_assign_slice, odp_edge_slice
 from .chromatic import (
     ChordalSequence,
     ChordalStep,
@@ -30,13 +30,10 @@ from .identities import (
 )
 from .limits import BoundExceededError
 from .permutations import (
-    descent_count,
     enumerate_perms,
-    excedance_count,
     g_cyclic_descent_count,
     g_descent_count,
     inverse,
-    swap_positions,
 )
 from .polynomials import (
     Polynomial,

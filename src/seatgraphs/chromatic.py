@@ -201,12 +201,6 @@ class ChordalSequence:
     def target(self) -> Digraph:
         return self.steps[-1].graph
 
-    def all_certificates_pass(self) -> bool:
-        return all(
-            (s.sink_equivalent is None or s.sink_equivalent) and s.complement_peo
-            for s in self.steps
-        )
-
     def to_json_obj(self) -> list[dict]:
         return [
             {

@@ -25,7 +25,6 @@ import re
 import sys
 from contextlib import contextmanager
 from itertools import accumulate, chain
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .digraph import Digraph, cycle, path, tour
@@ -102,8 +101,13 @@ def parse_graph_spec(spec: str, unsafe: bool = False) -> Digraph:
         return _FAMILIES[m.group(1)](n)
     if spec.lstrip().startswith("{"):
         text, source = spec, ""
-    elif Path(spec).is_file():
-        text, source = Path(spec).read_text(), f" in {spec}"
+    elif os.path.isfile(spec):
+        source = f" in {spec}"
+        try:
+            with open(spec) as f:
+                text = f.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read graph{source}: {exc.strerror}") from exc
     else:
         raise UsageError(f"unrecognized graph spec: {spec!r}")
     try:

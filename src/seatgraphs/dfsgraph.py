@@ -102,7 +102,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .digraph import Digraph
 from .limits import WORK_BOUND, check_bound
-from .permutations import WORD_MAX_N, Perm, enumerate_perms, validate_perm, word
+from .permutations import WORD_MAX_N, Perm, enumerate_perms, word
 from .polynomials import Polynomial
 
 # Most states the priced bound of one walk level may reach; a larger
@@ -147,15 +147,6 @@ def _check_same_n(X: Digraph, Y: Digraph) -> int:
     if X.n != Y.n:
         raise ValueError(f"X has {X.n} vertices but Y has {Y.n}")
     return X.n
-
-
-def out_neighbors(X: Digraph, Y: Digraph, p: Perm) -> list[DfsEdgeWitness]:
-    """All witnesses out of the vertex labeled p, in (a, b) order."""
-    n = _check_same_n(X, Y)
-    if len(p) != n:
-        raise ValueError(f"permutation length {len(p)} does not match n={n}")
-    validate_perm(p)
-    return _witnesses(p, *_witness_rule(X, Y))
 
 
 def _witness_rule(X: Digraph, Y: Digraph) -> tuple[list[tuple[int, int, int, int, int, itemgetter]], list[list[int]]]:
@@ -204,11 +195,6 @@ def witness_rows(pairs: list[tuple[Digraph, Digraph]], what: str, bound: int | N
     every pair is priced as one sum before any edge rule is built."""
     check_bound(what, sum(_visit_price(X, Y) for X, Y in pairs), bound)
     return [lambda p, rule=_witness_rule(X, Y): _witnesses(p, *rule) for X, Y in pairs]
-
-
-def outdegree(X: Digraph, Y: Digraph, p: Perm) -> int:
-    """Sum of witness multiplicities out of p."""
-    return sum(w.multiplicity for w in out_neighbors(X, Y, p))
 
 
 def _rotates(G: Digraph) -> bool:
@@ -517,27 +503,12 @@ class MaterializedDfs:
         rule = _witness_rule(self.x, self.y)
         return tuple(tuple(_witnesses(p, *rule, vertex)) for p in self.vertices)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "vertices": [list(p) for p in self.vertices],
-            "edges": [
-                {
-                    "from": i,
-                    "to": self.index[w.target],
-                    "a": w.a,
-                    "b": w.b,
-                    "mult": w.multiplicity,
-                }
-                for i, row in enumerate(self.adjacency)
-                for w in row
-            ],
-        }
-
     def to_json(self) -> Iterator[str]:
-        """``json.dumps(self.to_json_obj(), separators=(",", ":"))`` in
-        chunks: one per vertex in the vertex list, then one per vertex
-        with edges out of it, formatted straight from the edge rule."""
+        """Compact JSON ``{"n", "vertices", "edges"}`` in chunks: one per
+        vertex in the vertex list, then one per vertex with edges out of
+        it, formatted straight from the edge rule.  An edge is
+        ``{"from", "to", "a", "b", "mult"}``, its ends indices into the
+        vertex list."""
         index = self.index
         arcs, grid = _witness_rule(self.x, self.y)
         # each arc's fixed fields, formatted once

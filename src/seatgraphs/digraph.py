@@ -245,10 +245,6 @@ class Digraph:
             raise ValueError(f"graph field 'labels' must be exactly 1..{n} when given, got {labels!r}")
         return cls.from_edges(n, edges)
 
-    @classmethod
-    def from_json(cls, text: str) -> Digraph:
-        return cls.from_json_obj(json.loads(text))
-
     def to_dot(self) -> str:
         lines = ["digraph {"]
         for v in self.labels:

@@ -299,7 +299,7 @@ def _verify_worpitzky(name: str, X_graph: Digraph, min_n: int, walk: Callable[[i
     complement = X_graph.complement()
     chi = chromatic_poly(complement, bound=bound)
     certificates = {"x_chordal": find_chordal_labeling(X_graph) is not None, "complement_peo": is_peo(complement)}
-    rhs_prefix = SeriesPrefix.from_values(rhs(chi))
+    rhs_prefix = SeriesPrefix(rhs(chi))
     return _prefix_verdict(lhs, rhs_prefix, f"prefix m=0..{truncation} at n={n}", f"X={X_graph.to_json()}",
                            certificates)
 
@@ -351,7 +351,7 @@ def verify_cycle_base(
                 ),
             )
     lhs = expand_over_one_minus_x(odp_poly, n, truncation)
-    rhs = SeriesPrefix.from_values(n * m ** (n - 1) for m in range(truncation + 1))
+    rhs = SeriesPrefix(n * m ** (n - 1) for m in range(truncation + 1))
     return _prefix_verdict(lhs, rhs, rng, f"n={n}", None)
 
 

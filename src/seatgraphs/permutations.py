@@ -1,4 +1,4 @@
-"""Enumeration of S_n and descent-type statistics.
+"""Enumeration of S_n, G-descent statistics, inverses and one-line words.
 
 Permutations are plain tuples in one-line notation, 1-indexed to match
 the rest of the package: ``p[i-1]`` is the image of position ``i``.
@@ -27,21 +27,6 @@ def enumerate_perms(n: int) -> Iterator[Perm]:
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     return _itertools_permutations(range(1, n + 1))
-
-
-def validate_perm(p: Perm) -> None:
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"{p!r} is not a permutation of 1..{len(p)}")
-
-
-def descent_count(p: Perm) -> int:
-    """Number of positions i with p(i) > p(i+1)."""
-    return sum(p[i] > p[i + 1] for i in range(len(p) - 1))
-
-
-def excedance_count(p: Perm) -> int:
-    """Number of positions i with p(i) > i."""
-    return sum(v > i for i, v in enumerate(p, start=1))
 
 
 def check_g_graph(graph: Digraph, n: int) -> None:
@@ -73,13 +58,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def swap_positions(p: Perm, a: int, b: int) -> Perm:
-    """Compose with the transposition (a b): swap the images at positions a, b."""
-    q = list(p)
-    q[a - 1], q[b - 1] = q[b - 1], q[a - 1]
-    return tuple(q)
-
-
 # one digit per value: the largest n whose one-line words are unambiguous
 WORD_MAX_N = 9
 
@@ -89,9 +67,3 @@ def word(p: Perm) -> str:
     if len(p) > WORD_MAX_N:
         raise ValueError(f"one-line words are only defined for n <= {WORD_MAX_N}")
     return "".join(str(v) for v in p)
-
-
-def parse_word(s: str) -> Perm:
-    p = tuple(int(c) for c in s)
-    validate_perm(p)
-    return p

@@ -40,11 +40,6 @@ class Polynomial:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _strip(self.coeffs))
 
-    @property
-    def degree(self) -> int | None:
-        """Highest nonzero index, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -123,8 +118,8 @@ X = Polynomial((0, 1))
 class SeriesPrefix:
     """Coefficients c_0..c_M of a formal power series, as exact integers.
 
-    Equality demands the same truncation order and exact coefficient
-    agreement.
+    Built from any iterable of integers.  Equality demands the same
+    truncation order and exact coefficient agreement.
     """
 
     coeffs: tuple[int, ...]
@@ -134,10 +129,6 @@ class SeriesPrefix:
         object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if not self.coeffs:
             raise ValueError("a series prefix holds at least the constant coefficient")
-
-    @classmethod
-    def from_values(cls, values) -> SeriesPrefix:
-        return cls(tuple(values))
 
     @property
     def truncation(self) -> int:

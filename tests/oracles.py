@@ -5,16 +5,19 @@ plain nested loops, deliberately sharing no code path with the package
 modules it checks.  Graphs come in as (n, list-of-edge-pairs) so the
 oracles do not depend on the package's edge bookkeeping either.
 """
+import json
 from collections import Counter
 from itertools import permutations
 from math import comb, factorial
 
 
+def descent_count(p):
+    """Number of positions i with p(i) > p(i+1)."""
+    return sum(p[i] > p[i + 1] for i in range(len(p) - 1))
+
+
 def descent_distribution(n):
-    c = Counter(
-        sum(p[i] > p[i + 1] for i in range(n - 1))
-        for p in permutations(range(1, n + 1))
-    )
+    c = Counter(descent_count(p) for p in permutations(range(1, n + 1)))
     return tuple(c.get(m, 0) for m in range(max(c) + 1))
 
 
@@ -60,6 +63,23 @@ def brute_dfs_witnesses(n, x_edges, y_edges):
             row.append((sigma, a, b, tau, found[a, b]))
         out.append(tuple(row))
     return tuple(out)
+
+
+def reference_dfs(x, y, fmt):
+    """``seatgraphs dfs``'s stdout, for ``fmt`` "json" or "dot", for the
+    graph JSON objects x and y, formatted from ``brute_dfs_witnesses``:
+    vertices in lexicographic order, each vertex's witnesses in (a, b)
+    order, a DOT edge repeated by its multiplicity."""
+    n = x["n"]
+    vertices = list(permutations(range(1, n + 1)))
+    witnesses = [w for row in brute_dfs_witnesses(n, x["edges"], y["edges"]) for w in row]
+    if fmt == "dot":
+        name = {v: "".join(map(str, v)) for v in vertices}
+        return ("digraph {\n" + "".join(f'  "{name[v]}";\n' for v in vertices)
+                + "".join(f'  "{name[s]}" -> "{name[t]}";\n' * m for s, _, _, t, m in witnesses) + "}\n")
+    position = {v: i for i, v in enumerate(vertices)}
+    edges = [{"from": position[s], "to": position[t], "a": a, "b": b, "mult": m} for s, a, b, t, m in witnesses]
+    return json.dumps({"n": n, "vertices": vertices, "edges": edges}, separators=(",", ":")) + "\n"
 
 
 def has_directed_cycle(arcs):

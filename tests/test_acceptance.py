@@ -278,7 +278,12 @@ def test_criterion_10_chordal_sequences():
             if not is_peo(x.complement()):
                 continue
             seq = chordal_sequence(x)
-            if not seq.all_certificates_pass():
+            # each step's certificates as recorded and as recomputed here:
+            # the removed pair sink-equivalent in the graph still holding
+            # it, and the graph's complement a PEO as labeled
+            if not all(step.sink_equivalent is not False and step.complement_peo
+                       and (step.removed is None or step.graph.is_sink_equivalent(set(step.removed)))
+                       and is_peo(step.graph.complement()) for step in seq.steps):
                 failures.append(f"n={n} X={x.to_json()}: a certificate failed")
                 continue
             for before, after in zip(seq.steps, seq.steps[1:]):

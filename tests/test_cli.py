@@ -1,7 +1,6 @@
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import os
 import re
@@ -17,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seatgraphs import cli, dfsgraph, identities, polynomials
-from seatgraphs.dfsgraph import materialize
 from seatgraphs.digraph import cycle, tour
 from seatgraphs.polynomials import Polynomial
 
@@ -25,23 +23,6 @@ import oracles
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-
-
-def reference_dfs(x, y, fmt):
-    """``dfs``'s stdout for the graph JSON objects x and y, formatted here
-    from ``oracles.brute_dfs_witnesses``: vertices in lexicographic order,
-    each vertex's witnesses in (a, b) order, a DOT edge repeated by its
-    multiplicity."""
-    n = x["n"]
-    vertices = list(itertools.permutations(range(1, n + 1)))
-    witnesses = [w for row in oracles.brute_dfs_witnesses(n, x["edges"], y["edges"]) for w in row]
-    if fmt == "dot":
-        name = {v: "".join(map(str, v)) for v in vertices}
-        return ("digraph {\n" + "".join(f'  "{name[v]}";\n' for v in vertices)
-                + "".join(f'  "{name[s]}" -> "{name[t]}";\n' * m for s, _, _, t, m in witnesses) + "}\n")
-    position = {v: i for i, v in enumerate(vertices)}
-    edges = [{"from": position[s], "to": position[t], "a": a, "b": b, "mult": m} for s, a, b, t, m in witnesses]
-    return json.dumps({"n": n, "vertices": vertices, "edges": edges}, separators=(",", ":")) + "\n"
 
 
 def run_cli(*args, env=None):
@@ -86,6 +67,24 @@ class TestGen:
         r = run_cli("gen", "bogus:3")
         assert r.returncode == 2
         assert "unrecognized graph spec" in r.stderr
+
+    def test_spec_longer_than_a_file_name_is_usage_error(self):
+        # before Python 3.13, Path.is_file raised ENAMETOOLONG on such a spec
+        r = run_cli("gen", "a" * 5000)
+        assert r.returncode == 2
+        assert "unrecognized graph spec" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_unreadable_file_spec_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def unreadable(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        spec = tmp_path / "g.json"
+        spec.write_text('{"n":2,"edges":[]}')
+        monkeypatch.setattr(cli, "open", unreadable, raising=False)
+        assert cli.main(["gen", str(spec)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"seatgraphs: error: cannot read graph in {spec}: Permission denied\n"
 
     @pytest.mark.parametrize("spec, field", [
         ('{"n":"3","edges":[]}', "n"),
@@ -559,7 +558,7 @@ class TestDfsExport:
         specs += [(f(n).to_json(), g(n).to_json()) for n in range(2, 6) for f in (cycle, tour) for g in (cycle, tour)]
         for x, y in specs:
             assert cli.main(["dfs", x, y, "--format", fmt]) == 0
-            assert capsys.readouterr().out == reference_dfs(json.loads(x), json.loads(y), fmt), (x, y)
+            assert capsys.readouterr().out == oracles.reference_dfs(json.loads(x), json.loads(y), fmt), (x, y)
 
     @pytest.mark.parametrize("extra", [[], ["--unsafe-bounds"]], ids=["bounded", "unsafe"])
     def test_dot_past_n9_exits_2_before_any_vertex(self, extra, monkeypatch, capsys, tmp_path):
@@ -575,7 +574,7 @@ class TestDfsExport:
         assert not target.exists()
 
     def test_export_streams_without_building_witnesses(self, monkeypatch):
-        expected = (json.dumps(materialize(tour(7), tour(7)).to_json_obj(), separators=(",", ":")) + "\n").encode()
+        expected = oracles.reference_dfs(tour(7).to_json_obj(), tour(7).to_json_obj(), "json").encode()
 
         class Sink:
             """Counts and hashes what is written, keeping none of it."""

@@ -1,4 +1,3 @@
-import json
 import random
 from functools import cache
 from math import factorial, perm
@@ -13,8 +12,7 @@ from seatgraphs.dfsgraph import (
     odp,
     odp_assign_slice,
     odp_edge_slice,
-    out_neighbors,
-    outdegree,
+    witness_rows,
 )
 from seatgraphs.limits import WORK_BOUND, BoundExceededError
 from seatgraphs.permutations import enumerate_perms, inverse
@@ -321,9 +319,18 @@ class TestTourSubsetDp:
         assert_tour_matches_subset_dp(y, (3, 4), (7, 2))
 
 
+def witnesses_out(x, y, p):
+    """The witnesses out of the vertex p of DFS(x, y), in (a, b) order."""
+    return witness_rows([(x, y)], "witness rows")[0](p)
+
+
+def outdegree(x, y, p):
+    return sum(w.multiplicity for w in witnesses_out(x, y, p))
+
+
 class TestOutNeighbors:
     def test_tour_path_single_witness(self):
-        ws = out_neighbors(tour(3), path(3), (2, 1, 3))
+        ws = witnesses_out(tour(3), path(3), (2, 1, 3))
         assert len(ws) == 1
         w = ws[0]
         assert (w.a, w.b) == (2, 1)
@@ -333,10 +340,10 @@ class TestOutNeighbors:
     def test_edgeless_x_has_no_witnesses(self):
         g = Digraph.from_edges(3, [])
         for p in enumerate_perms(3):
-            assert out_neighbors(g, tour(3), p) == []
+            assert witnesses_out(g, tour(3), p) == []
 
     def test_tour2_cycle2(self):
-        ws = out_neighbors(tour(2), cycle(2), (1, 2))
+        ws = witnesses_out(tour(2), cycle(2), (1, 2))
         assert len(ws) == 1
         assert ws[0].multiplicity == 1
         assert ws[0].target == (2, 1)
@@ -344,13 +351,13 @@ class TestOutNeighbors:
     def test_multiplicity_is_product(self):
         x = Digraph.from_edges(2, [(2, 1), (2, 1)])
         y = Digraph.from_edges(2, [(2, 1), (2, 1), (2, 1)])
-        ws = out_neighbors(x, y, (1, 2))
+        ws = witnesses_out(x, y, (1, 2))
         assert len(ws) == 1
         assert ws[0].multiplicity == 6
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            out_neighbors(tour(3), path(4), (1, 2, 3))
+        with pytest.raises(ValueError, match="X has 3 vertices but Y has 4"):
+            witness_rows([(tour(3), path(4))], "witness rows")
 
     def test_matches_brute_force(self):
         x = Digraph.from_edges(3, [(2, 1), (3, 2), (1, 3)])
@@ -414,12 +421,8 @@ class TestOdp:
         # of plain descents of the label; with the tour in the X role
         # only the distributions agree
         for p in enumerate_perms(4):
-            d = sum(p[i] > p[i + 1] for i in range(3))
-            assert outdegree(path(4), tour(4), p) == d
-        assert any(
-            outdegree(tour(4), path(4), p) != sum(p[i] > p[i + 1] for i in range(3))
-            for p in enumerate_perms(4)
-        )
+            assert outdegree(path(4), tour(4), p) == oracles.descent_count(p)
+        assert any(outdegree(tour(4), path(4), p) != oracles.descent_count(p) for p in enumerate_perms(4))
 
     def test_matches_brute_force(self):
         for x, y in random_pairs():
@@ -748,8 +751,8 @@ class TestMaterializedWitnesses:
 
     def test_json_is_the_encoded_object(self):
         for x, y in kernel_pairs() + family_pairs():
-            dfs = materialize(x, y)
-            assert "".join(dfs.to_json()) == json.dumps(dfs.to_json_obj(), separators=(",", ":"))
+            expected = oracles.reference_dfs(x.to_json_obj(), y.to_json_obj(), "json")
+            assert "".join(materialize(x, y).to_json()) + "\n" == expected
 
     def test_dot_tour_cycle_3(self):
         assert "".join(materialize(tour(3), cycle(3)).to_dot()) == (
@@ -785,8 +788,8 @@ class TestMaterializedWitnesses:
             if x.n > 4:
                 continue
             dfs = materialize(x, y)
-            for p, row in zip(dfs.vertices, dfs.adjacency):
-                assert tuple(out_neighbors(x, y, p)) == row
+            (row,) = witness_rows([(x, y)], "witness rows")
+            assert tuple(tuple(row(p)) for p in dfs.vertices) == dfs.adjacency
 
     def test_export_builds_no_witness_rows(self):
         for x, y in [(tour(4), cycle(4)), (MULTI_X, MULTI_Y)]:
