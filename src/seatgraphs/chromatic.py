@@ -110,12 +110,15 @@ def is_peo(graph: Digraph) -> bool:
 
 def find_chordal_labeling(graph: Digraph) -> Perm | None:
     """A vertex labeling that is a perfect elimination ordering, or None
-    if there is none.
+    if there is none, for any simple graph.
 
-    A labeling re-orients every underlying edge from the larger new
-    label to the smaller.  It is a PEO when every edge's label interval
-    is a clique, that is when every closed neighbourhood is a run of
-    labels (the umbrella condition of Looges and Olariu, 1993).  Such
+    Only the underlying undirected graph is read, so a graph with a
+    directed cycle or an antiparallel pair gets the result of any
+    re-orientation of it.  A labeling re-orients every underlying edge
+    from the larger new label to the smaller.  It is a PEO when every
+    edge's label interval is a clique, that is when every closed
+    neighbourhood is a run of labels (the umbrella condition of Looges
+    and Olariu, 1993).  Such
     labelings exist exactly on the proper interval graphs (Roberts,
     1969), so the claw K_{1,3} is chordal and has none.  Three LBFS
     sweeps, the last two breaking ties toward the vertex latest in the
@@ -123,8 +126,6 @@ def find_chordal_labeling(graph: Digraph) -> Perm | None:
     vertex is labeled by its position in the last sweep, and the run
     test decides whether the sweeps found one.
     """
-    if not (graph.is_labeled_acyclic() or graph.is_acyclic()):
-        raise ValueError("chordal labelings are defined for acyclic graphs")
     if not graph.is_simple():
         raise ValueError("chordal labelings are defined for simple graphs")
     n = graph.n

@@ -82,14 +82,29 @@ def _exact_digits():
             sys.set_int_max_str_digits(limit)
 
 
+# a number longer than this is named by its count of digits, not echoed
+_SHOWN_DIGITS = 15
+
+
 def _check_input(argument: str, value: int, unsafe: bool) -> int:
     """The input bound: each size built from one argument is checked
     here before anything of that size is built, so an oversized argument
     exits 3 instead of exhausting memory.  Work is priced by the
     operation that does it; the CLI prices only `table eulerian`."""
     if value > INPUT_BOUND and not unsafe:
-        raise BoundExceededError(f"{argument} is {value}, above the input bound {INPUT_BOUND}")
+        shown = f"has {len(str(value))} digits" if value >= 10 ** _SHOWN_DIGITS else f"is {value}"
+        raise BoundExceededError(f"{argument} {shown}, above the input bound {INPUT_BOUND}")
     return value
+
+
+def _to_int(argument: str, text: str, unsafe: bool) -> int:
+    """``text``, an integer in decimal, converted only once its count of
+    digits is checked: a number that long is far above the input bound,
+    and past 4 300 digits Python refuses to convert it."""
+    digits = len(text.lstrip("-0"))
+    if digits > _SHOWN_DIGITS and not unsafe:
+        raise BoundExceededError(f"{argument} has {digits} digits, above the input bound {INPUT_BOUND}")
+    return int(text)
 
 
 def parse_graph_spec(spec: str, unsafe: bool = False) -> Digraph:
@@ -97,7 +112,7 @@ def parse_graph_spec(spec: str, unsafe: bool = False) -> Digraph:
     field) checked against the input bound first."""
     m = _FAMILY_RE.fullmatch(spec)
     if m:
-        n = _check_input("a graph spec's n", int(m.group(2)), unsafe)
+        n = _check_input("a graph spec's n", _to_int("a graph spec's n", m.group(2), unsafe), unsafe)
         return _FAMILIES[m.group(1)](n)
     if spec.lstrip().startswith("{"):
         text, source = spec, ""
@@ -111,7 +126,7 @@ def parse_graph_spec(spec: str, unsafe: bool = False) -> Digraph:
     else:
         raise UsageError(f"unrecognized graph spec: {spec!r}")
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=lambda digits: _to_int("a number in a graph spec", digits, unsafe))
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid graph JSON{source}: {exc}") from exc
     if isinstance(obj, dict) and type(obj.get("n")) is int:
@@ -129,12 +144,12 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
         raise UsageError(f"{what} must be two integers, got {text!r}") from exc
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str, unsafe: bool) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
     if not m:
         raise UsageError(f"range must look like '1..4' or '3', got {text!r}")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
+    lo = _to_int("--n", m.group(1), unsafe)
+    hi = _to_int("--n", m.group(2), unsafe) if m.group(2) else lo
     if hi < lo:
         raise UsageError(f"empty range {text!r}")
     return lo, hi
@@ -277,9 +292,10 @@ def run_dfs(args) -> tuple[Iterator[str], int]:
     if args.format == "dot" and X.n > WORD_MAX_N:
         raise UsageError(f"DOT output names vertices by one-line words, defined only for n <= {WORD_MAX_N} "
                          f"(n={X.n}); use --format json")
-    dfs = materialize(X, Y, **_unsafe(args))
+    unsafe = _unsafe(args)
+    dfs = materialize(X, Y, **unsafe)
     if args.format == "dot":
-        return dfs.to_dot(), 0
+        return dfs.to_dot(**unsafe), 0
     return chain(dfs.to_json(), ["\n"]), 0
 
 
@@ -338,7 +354,7 @@ def run_verify(args) -> tuple[str, int]:
 def run_table(args) -> tuple[Iterator[str], int]:
     """The table's CSV lines, produced one row at a time as they are
     written.  Every bound is checked before the first row."""
-    lo, hi = _parse_range(args.n)
+    lo, hi = _parse_range(args.n, args.unsafe_bounds)
     _check_input("the top of --n", hi, args.unsafe_bounds)
     if args.kind == "eulerian":
         if not args.unsafe_bounds:

@@ -232,11 +232,20 @@ def _odp_poly(X: Digraph, Y: Digraph, parts: list[tuple[int, dict[int, int]]], w
     are priced, all of them before the first runs."""
     n = X.n
     chosen = [(weight, *_choose(X, Y, pins, what, bound)) for weight, pins in _quotient(X, Y, parts)]
-    check_bound(what, sum(price for _, price, _, _ in chosen), bound)
+    total = sum(price for _, price, _, _ in chosen)
+    check_bound(what, total, bound)
     # no coefficient of a part exceeds n!, so this many bits per coefficient keep packed
     # polynomials exact under shifts and sums; weights apply after unpacking
     width = factorial(n).bit_length() + 1
     low = (1 << width) - 1
+    # Multiplicities enter the work only through the packed polynomials, of up to
+    # (top + 1) * width bits for outdegrees up to top: each priced step moves one, and
+    # unpacking a part shifts one top + 1 times, 8 steps a shift.  At a step per 2^15
+    # bits moved, no input of multiplicity 1 within the default bound above fails this one
+    xs = [m for a, b, m in X.edge_counts if a != b]
+    ys = [m for a, b, m in Y.edge_counts if a != b]
+    top = min(sum(xs) * max(ys, default=0), sum(ys) * max(xs, default=0))
+    check_bound(f"{what} up to degree {top}", (total + 8 * (top + 1) * len(chosen)) * (top + 1) * width >> 15, bound)
     coeffs: list[int] = []
     for weight, _, plan, (walked, other, pins) in chosen:
         # a plan walks once per arrangement of the free values over its splits
@@ -527,22 +536,33 @@ class MaterializedDfs:
                 sep = ","
         yield "]}"
 
-    def to_dot(self) -> Iterator[str]:
+    def to_dot(self, bound: int | None = WORK_BOUND) -> Iterator[str]:
         """DOT in chunks: one declaration per vertex, named by its
-        one-line word (so n <= 9, checked before the first chunk), then
-        the edges out of each vertex, each repeated by its multiplicity."""
+        one-line word (so n <= 9), then the edges out of each vertex, each
+        repeated by its multiplicity.  Both checks come before the first
+        chunk: n, and the edge lines' price against ``bound``."""
         if self.n > WORD_MAX_N:
             raise ValueError(f"one-line words are only defined for n <= {WORD_MAX_N}")
+        # each X-edge a -> b meets each Y-edge u -> v at (n - 2)! vertices, so there are
+        # (n - 2)! * M_X * M_Y lines for the non-loop multiplicity totals; at 5 steps a
+        # line, as for a witness, this is within the visit price when every multiplicity is 1
+        lines = factorial(max(self.n - 2, 0)) * sum(m for a, b, m in self.x.edge_counts if a != b) * sum(
+            m for u, v, m in self.y.edge_counts if u != v)
+        check_bound("DFS DOT export", 5 * lines, bound)
         arcs, grid = _witness_rule(self.x, self.y)
-        yield "digraph {\n"
-        for p in self.vertices:
-            yield f'  "{word(p)}";\n'
-        for p in self.vertices:
-            # the target's word is the source's with the arc's two positions swapped
-            w = word(p)
-            yield "".join([f'  "{w}" -> "{"".join(swap(w))}";\n' * (mx * my)
-                           for _, _, i, j, mx, swap in arcs if (my := grid[p[i]][p[j]])])
-        yield "}\n"
+
+        def chunks() -> Iterator[str]:
+            yield "digraph {\n"
+            for p in self.vertices:
+                yield f'  "{word(p)}";\n'
+            for p in self.vertices:
+                # the target's word is the source's with the arc's two positions swapped
+                w = word(p)
+                yield "".join([f'  "{w}" -> "{"".join(swap(w))}";\n' * (mx * my)
+                               for _, _, i, j, mx, swap in arcs if (my := grid[p[i]][p[j]])])
+            yield "}\n"
+
+        return chunks()
 
 
 def materialize(X: Digraph, Y: Digraph, bound: int | None = WORK_BOUND) -> MaterializedDfs:

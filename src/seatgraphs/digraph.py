@@ -107,21 +107,6 @@ class Digraph:
         """Every edge points from a larger label to a smaller one."""
         return all(u > v for u, v, _ in self.edge_counts)
 
-    def is_acyclic(self) -> bool:
-        """No directed cycle; a self-loop counts as a cycle."""
-        # imported on use, not at start-up: the CLI reaches this only through
-        # find_chordal_labeling, which skips it on labeled acyclic input
-        from graphlib import CycleError, TopologicalSorter
-
-        sorter = TopologicalSorter()
-        for u, v, _ in self.edge_counts:
-            sorter.add(v, u)
-        try:
-            sorter.prepare()
-        except CycleError:
-            return False
-        return True
-
     def _uniform_against_outside(self, subset: Iterable[int], outward: bool) -> bool:
         """For each outside vertex t, every member s of the subset has the
         edge s -> t (t -> s when not ``outward``) or none has.
@@ -253,10 +238,6 @@ class Digraph:
             lines.append(f"  {u} -> {v};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"{u}->{v}" + (f" x{m}" if m > 1 else "") for u, v, m in self.edge_counts)
-        return f"Digraph(n={self.n}, edges=[{inner}])"
 
 
 def tour(n: int) -> Digraph:

@@ -341,15 +341,7 @@ def verify_cycle_base(
         odp_poly = odp(tour(n), cycle(n), bound=bound)
         claimed = n * X * eulerian_poly(n - 1)
         if odp_poly != claimed:
-            return Verdict(
-                False,
-                rng,
-                Counterexample(
-                    inputs=f"intermediate claim at n={n}",
-                    lhs=odp_poly.format(),
-                    rhs=claimed.format(),
-                ),
-            )
+            return _poly_verdict(odp_poly, claimed, rng, f"intermediate claim at n={n}")
     lhs = expand_over_one_minus_x(odp_poly, n, truncation)
     rhs = SeriesPrefix(n * m ** (n - 1) for m in range(truncation + 1))
     return _prefix_verdict(lhs, rhs, rng, f"n={n}", None)

@@ -10,7 +10,15 @@ acyclicity, inversion or monotonicity check walks its rows (summed
 over the two pairs the last two compare); the sweep
 2^(n(n-1)/2) * n! * (n+1), a stream-priced verification per row;
 ``table eulerian`` the sum of k^2 over its range; ``chromatic_poly``
-(3^c - 1)/2 for its c vertices that are not isolated.  A verifier that
+(3^c - 1)/2 for its c vertices that are not isolated.  Edge
+multiplicities get a second check of their own, which no input of
+multiplicity 1 within the default bound of the first can fail: ``odp``
+and its slices (P + 8(D + 1)p)(D + 1)w / 2^15 for their price P over p
+parts, D the smaller of sum mult_X * max mult_Y and sum mult_Y *
+max mult_X over the non-loop edges (a bound on the outdegree) and w
+bits per packed coefficient; a DOT export 5 steps for each of its
+(n-2)! * M_X * M_Y edge lines, M a graph's non-loop multiplicity
+total.  A verifier that
 only calls priced operations passes its bound down.  The input bound
 caps what the CLI builds from one argument (a graph spec's n, a `--n`,
 the top of a `table --n` range, the truncation M) before building it.

@@ -54,9 +54,6 @@ class Polynomial:
         width = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(tuple(self[m] - other[m] for m in range(width)))
 
-    def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: Polynomial | int) -> Polynomial:
         if isinstance(other, int):
             return Polynomial(tuple(c * other for c in self.coeffs))

@@ -204,8 +204,19 @@ class TestFindChordalLabeling:
     def test_acyclic_but_not_labeled_acyclic(self):
         # 1 -> 2 -> 3 points up the labels yet has no directed cycle
         check_labeling(3, [(1, 2), (2, 3)], find_chordal_labeling(path(3)))
-        with pytest.raises(ValueError, match="defined for acyclic graphs"):
-            find_chordal_labeling(cycle(3))
+
+    def test_any_simple_digraph_gets_the_result_of_its_reorientation(self):
+        # only the underlying graph is read: directed cycles and
+        # antiparallel pairs give what the labeled acyclic re-orientation
+        # gives; loops are not simple
+        for n in range(1, 5):
+            pool = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+            for mask in range(1 << len(pool)):
+                g = Digraph.from_edges(n, [e for i, e in enumerate(pool) if mask >> i & 1])
+                found = find_chordal_labeling(g)
+                assert found == find_chordal_labeling(
+                    Digraph.from_edges(n, [(hi, lo) for lo, hi in g.undirected_edges()])), g
+                check_labeling(n, sorted(g.undirected_edges()), found)
 
     def test_tournament_has_a_labeling(self):
         # every labeling of a complete graph is one

@@ -239,6 +239,37 @@ class TestBoundBeforeBuilding:
         r = run_cli_in_1gb("odp", str(spec), "path:3")
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("argv", [("odp",), ("dfs", "--format", "dot")], ids=["odp", "dfs-dot"])
+    def test_edge_multiplicity_is_priced(self, argv, tmp_path):
+        # 240 KB: one edge 30 000 times, a packed ODP of degree 9 * 10^8
+        # and 9 * 10^8 DOT lines (14 GB); each sum is priced at a few steps
+        spec = tmp_path / "copies.json"
+        spec.write_text(json.dumps({"n": 2, "edges": [[1, 2]] * 30000}))
+        r = run_cli_in_1gb(argv[0], str(spec), str(spec), *argv[1:], "-o", str(tmp_path / "out"))
+        assert r.returncode == 3
+        assert "work bound" in r.stderr and "Traceback" not in r.stderr
+
+    # a number is refused on its count of digits before it is converted:
+    # past 4 300 digits Python would refuse it (exit 2), and no message
+    # echoes 800 digits
+    @pytest.mark.parametrize("digits", [800, 5000])
+    @pytest.mark.parametrize("argv, argument", [
+        (("gen", "tour:{}"), "a graph spec's n"),
+        (("gen", '{{"n":{},"edges":[]}}'), "a number in a graph spec"),
+        (("table", "eulerian", "--n", "1..{}"), "--n"),
+    ], ids=["family", "json", "table-range"])
+    def test_overlong_number_exits_3_on_its_digit_count(self, argv, argument, digits, capsys):
+        number = "9" * digits
+        assert cli.main([arg.format(number) for arg in argv]) == 3
+        assert capsys.readouterr().err == (f"seatgraphs: resource bound exceeded: {argument} has {digits} digits, "
+                                           "above the input bound 700\n")
+
+    def test_long_flag_value_is_named_by_its_digit_count(self, capsys):
+        # argparse converts --n itself; the input bound names its length
+        assert cli.main(["verify", "cycle-base", "--n", "9" * 800]) == 3
+        assert capsys.readouterr().err == ("seatgraphs: resource bound exceeded: --n has 800 digits, "
+                                           "above the input bound 700\n")
+
     # sizes that are not graphs: the truncation runs the series out to M
     # terms, and a table builds a row per n; the message names the argument
     @pytest.mark.parametrize("argv, env, argument", [
@@ -337,6 +368,23 @@ class TestVerify:
         r = run_cli("verify", "cycle-base", "--n", "3", "--M", "8")
         assert r.returncode == 0
         assert "holds: true" in r.stdout
+
+    def test_cycle_base_reports_a_failed_intermediate_claim(self, monkeypatch, capsys):
+        # ODP(Tour_3, Cycle_3) is 3x + 3x^2; a wrong one fails the claim
+        # before any prefix is compared
+        monkeypatch.setattr(identities, "odp", lambda X, Y, bound: Polynomial((0, 3, 4)))
+        assert cli.main(["verify", "cycle-base", "--n", "3", "--M", "8"]) == 1
+        assert capsys.readouterr().out == (
+            "theorem: cycle-base\n"
+            "holds: false\n"
+            "checked_range: prefix m=0..8 at n=3\n"
+            "counterexample: intermediate claim at n=3\n"
+            "  lhs: 3*x + 4*x^2\n"
+            "  rhs: 3*x + 3*x^2\n")
+        assert cli.main(["verify", "cycle-base", "--n", "3", "--M", "8", "--format", "json"]) == 1
+        assert capsys.readouterr().out == (
+            '{"holds":false,"checked_range":"prefix m=0..8 at n=3","counterexample":'
+            '{"inputs":"intermediate claim at n=3","lhs":"3*x + 4*x^2","rhs":"3*x + 3*x^2"}}\n')
 
     def test_path_identity_disambiguation_instance(self):
         r = run_cli(
@@ -528,9 +576,11 @@ class TestIntToStrLimit:
         assert sys.get_int_max_str_digits() == limit
 
     def test_graph_json_input_keeps_the_limit(self, capsys):
-        # without the limit this n would parse and exit 3 on the input bound
+        # --unsafe-bounds lifts the digit count check, so this n reaches
+        # int(), and the limit, which is not lifted while JSON is parsed,
+        # refuses it
         spec = '{"n":' + "1" * 5000 + ',"edges":[]}'
-        assert cli.main(["gen", spec]) == 2
+        assert cli.main(["gen", spec, "--unsafe-bounds"]) == 2
         assert "limit" in capsys.readouterr().err
 
 

@@ -473,6 +473,59 @@ class TestWorkBound:
             odp(tour(15), cycle(15))
 
 
+# multiplicities the work bound must see: a packed ODP of degree
+# 600 * 600 on two vertices, Tour_6 with every edge 200 times, and
+# 30 000 copies whose DOT export would be 900 million lines
+def copies(g, k):
+    return Digraph.from_edges(g.n, list(g.edges()) * k)
+
+
+class TestMultiplicityPrice:
+    def test_refused_before_any_part_runs(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a part ran before the multiplicities were priced")
+
+        monkeypatch.setattr(dfsgraph, "_stream", never)
+        monkeypatch.setattr(dfsgraph, "_walk", never)
+        g, t = copies(path(2), 600), copies(tour(6), 200)
+        # both are priced at a few steps by the plan alone
+        assert dfsgraph._choose(g, g, {})[0] == 4
+        assert dfsgraph._choose(t, t, {})[0] <= factorial(6) * 16
+        with pytest.raises(BoundExceededError, match="outdegree polynomial up to degree 360000 would take 94922534 "):
+            odp(g, g)
+        with pytest.raises(BoundExceededError, match="outdegree polynomial up to degree 600000 would take"):
+            odp(t, t)
+        with pytest.raises(BoundExceededError, match="ODP edge slice up to degree 600000"):
+            odp_edge_slice(t, t, 2, 1)
+        with pytest.raises(BoundExceededError, match="ODP assignment slice up to degree 600000"):
+            odp_assign_slice(t, t, 1, 1)
+
+    def test_admitted_pair_matches_the_oracle(self):
+        # the identity meets all 300 x 300 pairs of copies; the swap none
+        g = copies(path(2), 300)
+        assert odp(g, g) == Polynomial((1,) + (0,) * 89999 + (1,))
+        assert odp(g, g).coeffs == oracles.brute_odp(2, pairs(g), pairs(g))
+
+    def test_dot_lines_priced_before_the_first_chunk(self):
+        # (n - 2)! * M_X * M_Y lines, 5 steps each; the visit price admits both
+        for g, lines in [(copies(path(2), 30000), 30000 ** 2), (copies(tour(6), 200), 24 * 3000 ** 2)]:
+            dfs = materialize(g, g)
+            with pytest.raises(BoundExceededError, match=f"DFS DOT export would take {5 * lines} steps"):
+                dfs.to_dot()
+
+    def test_high_multiplicities_match_the_oracles(self):
+        rng = random.Random(27)
+        for n in (2, 3, 4):
+            for _ in range(4):
+                x, y = (Digraph.from_edges(n, [(rng.randint(1, n), rng.randint(1, n))
+                                               for _ in range(rng.randint(1, 2 * n))] * rng.randint(2, 9))
+                        for _ in range(2))
+                assert odp(x, y).coeffs == oracles.brute_odp(n, pairs(x), pairs(y))
+                assert odp_edge_slice(x, y, 2, 1).coeffs == oracles.brute_edge_slice(n, pairs(x), pairs(y), 2, 1)
+                assert "".join(materialize(x, y).to_dot()) == oracles.reference_dfs(
+                    x.to_json_obj(), y.to_json_obj(), "dot")
+
+
 def circulant(n, steps):
     """Every edge i -> i + s (mod n) for s in ``steps``: one edge orbit
     of the rotation per step."""
