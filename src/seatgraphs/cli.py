@@ -10,7 +10,11 @@ dfs     the graph DFS(X, Y) as DOT or JSON
 
 Graphs are accepted as named-family specs ("tour:4", "path:5",
 "cycle:3"), inline JSON ('{"n":3,"edges":[[3,1]]}'), or a path to a
-JSON file.  Exit codes: 0 success/holds, 1 a verdict failed, 2 usage
+JSON file.  Every integer read from argv (a family's n, a number in
+graph JSON, --n, --M, --edge, --pair, --slice's pair) is refused past
+15 digits before Python converts it, and a size is checked against the
+input bound before anything of that size is built; --M alone sets the
+truncation.  Exit codes: 0 success/holds, 1 a verdict failed, 2 usage
 error, 3 resource bound exceeded, 4 internal error.  All output is
 deterministic.
 """
@@ -24,6 +28,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from functools import cache
 from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
@@ -48,19 +53,6 @@ from .polynomials import eulerian_poly, eulerian_step, generalized_eulerian_poly
 
 _FAMILY_RE = re.compile(r"(tour|path|cycle):(\d+)")
 _FAMILIES = {"tour": tour, "path": path, "cycle": cycle}
-
-THEOREMS = (
-    "automorphism",
-    "acyclic",
-    "edge-removal",
-    "self-slice",
-    "squish",
-    "path-identity",
-    "cycle-base",
-    "cycle-identity",
-    "gen-eulerian",
-    "sweep",
-)
 
 
 class UsageError(Exception):
@@ -100,10 +92,11 @@ def _check_input(argument: str, value: int, unsafe: bool) -> int:
 def _to_int(argument: str, text: str, unsafe: bool) -> int:
     """``text``, an integer in decimal, converted only once its count of
     digits is checked: a number that long is far above the input bound,
-    and past 4 300 digits Python refuses to convert it."""
-    digits = len(text.lstrip("-0"))
-    if digits > _SHOWN_DIGITS and not unsafe:
-        raise BoundExceededError(f"{argument} has {digits} digits, above the input bound {INPUT_BOUND}")
+    and past 4 300 digits Python refuses to convert it.  Text that is not
+    an integer is left to ``int``, whose ValueError is a usage error."""
+    digits = text.lstrip("-0")
+    if len(digits) > _SHOWN_DIGITS and digits.isdigit() and not unsafe:
+        raise BoundExceededError(f"{argument} has {len(digits)} digits, above the input bound {INPUT_BOUND}")
     return int(text)
 
 
@@ -134,12 +127,12 @@ def parse_graph_spec(spec: str, unsafe: bool = False) -> Digraph:
     return Digraph.from_json_obj(obj)
 
 
-def _parse_pair(text: str, what: str) -> tuple[int, int]:
+def _parse_pair(text: str, what: str, unsafe: bool) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"{what} must look like 'a,b', got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        return _to_int(what, parts[0], unsafe), _to_int(what, parts[1], unsafe)
     except ValueError as exc:
         raise UsageError(f"{what} must be two integers, got {text!r}") from exc
 
@@ -155,21 +148,10 @@ def _parse_range(text: str, unsafe: bool) -> tuple[int, int]:
     return lo, hi
 
 
-def _truncation(args) -> int:
-    """``--M``, else ``SEATGRAPHS_M``, else the default."""
-    if args.truncation is not None:
-        return _check_input("--M", args.truncation, args.unsafe_bounds)
-    raw = os.environ.get("SEATGRAPHS_M")
-    if raw is None:
-        return DEFAULT_TRUNCATION
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"SEATGRAPHS_M must be an integer, got {raw!r}")
-    return _check_input("SEATGRAPHS_M", value, args.unsafe_bounds)
-
-
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process; each
+    subcommand's runner is its default ``run``."""
     parser = argparse.ArgumentParser(prog="seatgraphs", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     # options every command takes
@@ -179,10 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lift the input bound and the work bound")
 
     p_gen = sub.add_parser("gen", parents=[common], help="construct a graph and print it")
+    p_gen.set_defaults(run=run_gen)
     p_gen.add_argument("spec", help="tour:N | path:N | cycle:N | inline JSON | file")
     p_gen.add_argument("--format", choices=("json", "dot"), default="json")
 
     p_odp = sub.add_parser("odp", parents=[common], help="outdegree polynomial of a graph pair")
+    p_odp.set_defaults(run=run_odp)
     p_odp.add_argument("x_spec")
     p_odp.add_argument("y_spec")
     p_odp.add_argument("--slice", dest="slice_spec", default=None,
@@ -190,24 +174,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_odp.add_argument("--format", choices=("text", "json"), default="text")
 
     p_ver = sub.add_parser("verify", parents=[common], help="verify one theorem or run the sweep")
-    p_ver.add_argument("theorem", choices=THEOREMS)
+    p_ver.set_defaults(run=run_verify)
+    p_ver.add_argument("theorem", choices=_VERIFY)
     p_ver.add_argument("--x", dest="x_spec", default=None)
     p_ver.add_argument("--y", dest="y_spec", default=None)
     p_ver.add_argument("--graph", dest="graph_spec", default=None)
     p_ver.add_argument("--edge", default=None, help="a,b for edge-removal")
     p_ver.add_argument("--pair", default=None, help="a,b for self-slice / squish")
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--M", dest="truncation", type=int, default=None)
+    p_ver.add_argument("--n", default=None)
+    p_ver.add_argument("--M", dest="truncation", default=str(DEFAULT_TRUNCATION))
     p_ver.add_argument("--cyclic", action="store_true", help="for gen-eulerian")
     p_ver.add_argument("--identity", choices=("path", "cycle"), default="path",
                        help="which identity the sweep runs")
     p_ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_tab = sub.add_parser("table", parents=[common], help="coefficient tables as CSV")
+    p_tab.set_defaults(run=run_table)
     p_tab.add_argument("kind", choices=("eulerian", "cyclic-eulerian"))
     p_tab.add_argument("--n", required=True, help="range like 1..4 or a single n")
 
     p_dfs = sub.add_parser("dfs", parents=[common], help="print DFS(X, Y) as DOT or JSON, a vertex at a time")
+    p_dfs.set_defaults(run=run_dfs)
     p_dfs.add_argument("x_spec")
     p_dfs.add_argument("y_spec")
     p_dfs.add_argument("--format", choices=("json", "dot"), default="json")
@@ -215,16 +202,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unsafe(args) -> dict:
-    # omitting bound leaves each function's default from limits.py
-    return {"bound": None} if args.unsafe_bounds else {}
-
-
 def _require(args, attr: str, flag: str):
     value = getattr(args, attr)
     if value is None:
         raise UsageError(f"this theorem requires {flag}")
     return value
+
+
+def _int_flag(args, attr: str, flag: str) -> int:
+    """The integer ``flag`` gives, required and within the input bound."""
+    return _check_input(flag, _to_int(flag, _require(args, attr, flag), args.unsafe_bounds), args.unsafe_bounds)
+
+
+def _graph(args, attr: str = "graph_spec", flag: str = "--graph") -> Digraph:
+    return parse_graph_spec(_require(args, attr, flag), args.unsafe_bounds)
+
+
+def _xy(args, pair: str | None = None) -> tuple:
+    """X and Y from --x and --y, followed by a and b from --edge or --pair
+    when ``pair`` names one; the pair is read before the graphs."""
+    ab = _parse_pair(_require(args, pair, f"--{pair}"), f"--{pair}", args.unsafe_bounds) if pair else ()
+    return (_graph(args, "x_spec", "--x"), _graph(args, "y_spec", "--y"), *ab)
+
+
+# theorem -> the call of its verifier, given the args, the truncation M
+# and the work bound.  Each names its verifier at call time, so a
+# function replaced on this module is the one called.
+_VERIFY = {
+    "automorphism": lambda args, M, bound: verify_automorphism(*_xy(args), bound=bound),
+    "acyclic": lambda args, M, bound: verify_acyclic_potential(*_xy(args), bound=bound),
+    "edge-removal": lambda args, M, bound: verify_edge_removal(*_xy(args, "edge"), bound=bound),
+    "self-slice": lambda args, M, bound: verify_self_equivalent_slice(*_xy(args, "pair"), bound=bound),
+    "squish": lambda args, M, bound: verify_point_squish(*_xy(args, "pair"), bound=bound),
+    "path-identity": lambda args, M, bound: verify_path_identity(_graph(args), M, bound=bound),
+    "cycle-base": lambda args, M, bound: verify_cycle_base(_int_flag(args, "n", "--n"), M, bound=bound),
+    "cycle-identity": lambda args, M, bound: verify_cycle_identity(_graph(args), M, bound=bound),
+    "gen-eulerian": lambda args, M, bound: verify_generalized_equals_odp(_graph(args), args.cyclic, bound=bound),
+    "sweep": lambda args, M, bound: sweep_identity(_int_flag(args, "n", "--n"), M, which=args.identity,
+                                                   bound=bound),
+}
 
 
 def _format_bool(value: bool) -> str:
@@ -257,26 +273,25 @@ def _sweep_csv(rows) -> str:
     return buf.getvalue()
 
 
-def run_gen(args) -> tuple[str, int]:
+def run_gen(args, bound: int | None) -> tuple[str, int]:
     graph = parse_graph_spec(args.spec, args.unsafe_bounds)
     if args.format == "dot":
         return graph.to_dot(), 0
     return graph.to_json() + "\n", 0
 
 
-def run_odp(args) -> tuple[str, int]:
+def run_odp(args, bound: int | None) -> tuple[str, int]:
     kind, _, rest = (args.slice_spec or "").partition(":")
     X = parse_graph_spec(args.x_spec, args.unsafe_bounds)
     Y = parse_graph_spec(args.y_spec, args.unsafe_bounds)
-    unsafe = _unsafe(args)
     if args.slice_spec is None:
-        poly = odp(X, Y, **unsafe)
+        poly = odp(X, Y, bound=bound)
     elif kind == "edge":
-        a, b = _parse_pair(rest, "--slice edge")
-        poly = odp_edge_slice(X, Y, a, b, **unsafe)
+        a, b = _parse_pair(rest, "--slice edge", args.unsafe_bounds)
+        poly = odp_edge_slice(X, Y, a, b, bound=bound)
     elif kind == "assign":
-        i, j = _parse_pair(rest, "--slice assign")
-        poly = odp_assign_slice(X, Y, i, j, **unsafe)
+        i, j = _parse_pair(rest, "--slice assign", args.unsafe_bounds)
+        poly = odp_assign_slice(X, Y, i, j, bound=bound)
     else:
         raise UsageError(f"unknown slice kind {kind!r}; use edge:a,b or assign:i,j")
     if args.format == "json":
@@ -284,7 +299,7 @@ def run_odp(args) -> tuple[str, int]:
     return poly.format() + "\n", 0
 
 
-def run_dfs(args) -> tuple[Iterator[str], int]:
+def run_dfs(args, bound: int | None) -> tuple[Iterator[str], int]:
     """The graph's DOT or JSON, a vertex at a time as it is written.
     DOT's one-line words bound n, checked before any vertex is built."""
     X = parse_graph_spec(args.x_spec, args.unsafe_bounds)
@@ -292,80 +307,42 @@ def run_dfs(args) -> tuple[Iterator[str], int]:
     if args.format == "dot" and X.n > WORD_MAX_N:
         raise UsageError(f"DOT output names vertices by one-line words, defined only for n <= {WORD_MAX_N} "
                          f"(n={X.n}); use --format json")
-    unsafe = _unsafe(args)
-    dfs = materialize(X, Y, **unsafe)
+    dfs = materialize(X, Y, bound=bound)
     if args.format == "dot":
-        return dfs.to_dot(**unsafe), 0
+        return dfs.to_dot(bound=bound), 0
     return chain(dfs.to_json(), ["\n"]), 0
 
 
-def run_verify(args) -> tuple[str, int]:
-    truncation = _truncation(args)
-    name = args.theorem
-    if args.format == "csv" and name != "sweep":
+def run_verify(args, bound: int | None) -> tuple[str, int]:
+    truncation = _int_flag(args, "truncation", "--M")
+    if args.format == "csv" and args.theorem != "sweep":
         raise UsageError("csv output is only available for the sweep")
-    unsafe = _unsafe(args)
-
-    if name == "sweep":
-        n = _check_input("--n", _require(args, "n", "--n"), args.unsafe_bounds)
-        rows = sweep_identity(n, truncation, which=args.identity, **unsafe)
-        ok = all(r.identity for r in rows)
-        if args.format == "json":
-            text = json.dumps([r.to_json_obj() for r in rows], separators=(",", ":")) + "\n"
-        else:
-            text = _sweep_csv(rows)
-        return text, 0 if ok else 1
-
-    def graph(attr: str, flag: str):
-        return parse_graph_spec(_require(args, attr, flag), args.unsafe_bounds)
-
-    if name == "automorphism":
-        verdict = verify_automorphism(graph("x_spec", "--x"), graph("y_spec", "--y"), **unsafe)
-    elif name == "acyclic":
-        verdict = verify_acyclic_potential(graph("x_spec", "--x"), graph("y_spec", "--y"), **unsafe)
-    elif name == "edge-removal":
-        a, b = _parse_pair(_require(args, "edge", "--edge"), "--edge")
-        verdict = verify_edge_removal(graph("x_spec", "--x"), graph("y_spec", "--y"), a, b, **unsafe)
-    elif name == "self-slice":
-        a, b = _parse_pair(_require(args, "pair", "--pair"), "--pair")
-        verdict = verify_self_equivalent_slice(graph("x_spec", "--x"), graph("y_spec", "--y"), a, b, **unsafe)
-    elif name == "squish":
-        a, b = _parse_pair(_require(args, "pair", "--pair"), "--pair")
-        verdict = verify_point_squish(graph("x_spec", "--x"), graph("y_spec", "--y"), a, b, **unsafe)
-    elif name == "path-identity":
-        verdict = verify_path_identity(graph("graph_spec", "--graph"), truncation, **unsafe)
-    elif name == "cycle-base":
-        n = _check_input("--n", _require(args, "n", "--n"), args.unsafe_bounds)
-        verdict = verify_cycle_base(n, truncation, **unsafe)
-    elif name == "cycle-identity":
-        verdict = verify_cycle_identity(graph("graph_spec", "--graph"), truncation, **unsafe)
-    elif name == "gen-eulerian":
-        verdict = verify_generalized_equals_odp(graph("graph_spec", "--graph"), args.cyclic, **unsafe)
-    else:  # pragma: no cover - argparse already constrains the choices
-        raise UsageError(f"unknown theorem {name!r}")
-
+    result = _VERIFY[args.theorem](args, truncation, bound)
+    if isinstance(result, Verdict):
+        text = result.to_json() + "\n" if args.format == "json" else _verdict_text(args.theorem, result)
+        return text, 0 if result.holds else 1
+    # the sweep's rows
     if args.format == "json":
-        text = verdict.to_json() + "\n"
+        text = json.dumps([r.to_json_obj() for r in result], separators=(",", ":")) + "\n"
     else:
-        text = _verdict_text(name, verdict)
-    return text, 0 if verdict.holds else 1
+        text = _sweep_csv(result)
+    return text, 0 if all(r.identity for r in result) else 1
 
 
-def run_table(args) -> tuple[Iterator[str], int]:
+def run_table(args, bound: int | None) -> tuple[Iterator[str], int]:
     """The table's CSV lines, produced one row at a time as they are
     written.  Every bound is checked before the first row."""
     lo, hi = _parse_range(args.n, args.unsafe_bounds)
     _check_input("the top of --n", hi, args.unsafe_bounds)
     if args.kind == "eulerian":
-        if not args.unsafe_bounds:
-            # k^2 steps for row k: k coefficients of about k log k bits
-            check_bound(f"table eulerian --n {args.n}", sum(k * k for k in range(lo, hi + 1)), WORK_BOUND)
+        # k^2 steps for row k: k coefficients of about k log k bits
+        check_bound(f"table eulerian --n {args.n}", sum(k * k for k in range(lo, hi + 1)), bound)
         rows = accumulate(range(lo + 1, hi + 1), eulerian_step, initial=eulerian_poly(lo))
     elif lo < 2:
         raise UsageError("cyclic-eulerian tables start at n=2")
     else:
         # top row first: it is the dearest, so a range past the bound computes no row
-        rows = [generalized_eulerian_poly(tour(n), cyclic=True, **_unsafe(args)) for n in range(hi, lo - 1, -1)][::-1]
+        rows = [generalized_eulerian_poly(tour(n), cyclic=True, bound=bound) for n in range(hi, lo - 1, -1)][::-1]
 
     def lines():
         for n, poly in zip(range(lo, hi + 1), rows):
@@ -390,17 +367,10 @@ def _write(text: str | Iterable[str], output: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    runners = {
-        "gen": run_gen,
-        "odp": run_odp,
-        "dfs": run_dfs,
-        "verify": run_verify,
-        "table": run_table,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        text, code = runners[args.command](args)
+        # one work bound for every operation: None lifts it
+        text, code = args.run(args, None if args.unsafe_bounds else WORK_BOUND)
         _write(text, args.output)
     except BoundExceededError as exc:
         print(f"seatgraphs: resource bound exceeded: {exc}", file=sys.stderr)

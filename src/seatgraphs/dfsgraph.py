@@ -556,10 +556,15 @@ class MaterializedDfs:
             for p in self.vertices:
                 yield f'  "{word(p)}";\n'
             for p in self.vertices:
-                # the target's word is the source's with the arc's two positions swapped
+                # the target's word is the source's with the arc's two positions swapped;
+                # a vertex's lines past 4096 (a multigraph's) go out 4096 at a time
                 w = word(p)
-                yield "".join([f'  "{w}" -> "{"".join(swap(w))}";\n' * (mx * my)
-                               for _, _, i, j, mx, swap in arcs if (my := grid[p[i]][p[j]])])
+                runs = [(f'  "{w}" -> "{"".join(swap(w))}";\n', mx * my)
+                        for _, _, i, j, mx, swap in arcs if (my := grid[p[i]][p[j]])]
+                if sum([m for _, m in runs]) <= 4096:
+                    yield "".join([line * m for line, m in runs])
+                else:
+                    yield from (line * min(m - k, 4096) for line, m in runs for k in range(0, m, 4096))
             yield "}\n"
 
         return chunks()

@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import re
 import resource
 import shlex
@@ -16,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seatgraphs import cli, dfsgraph, identities, polynomials
-from seatgraphs.digraph import cycle, tour
+from seatgraphs.digraph import cycle, path, tour
+from seatgraphs.identities import Verdict
+from seatgraphs.limits import DEFAULT_TRUNCATION, WORK_BOUND
 from seatgraphs.polynomials import Polynomial
 
 import oracles
@@ -25,12 +26,11 @@ import oracles
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "seatgraphs", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -191,14 +191,14 @@ class TestBounds:
         assert ("bound" in r.stderr) == (codes == {3})
 
 
-def run_cli_in_1gb(*args, env=None):
+def run_cli_in_1gb(*args):
     """run_cli with the address space capped at 1 GB, so that an argument
     built before its bound check fails fast instead of exhausting memory."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     return subprocess.run([sys.executable, "-m", "seatgraphs", *args],
-                          capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60)
+                          capture_output=True, text=True, preexec_fn=cap, timeout=60)
 
 
 class TestBoundBeforeBuilding:
@@ -257,7 +257,11 @@ class TestBoundBeforeBuilding:
         (("gen", "tour:{}"), "a graph spec's n"),
         (("gen", '{{"n":{},"edges":[]}}'), "a number in a graph spec"),
         (("table", "eulerian", "--n", "1..{}"), "--n"),
-    ], ids=["family", "json", "table-range"])
+        (("verify", "cycle-base", "--n", "{}"), "--n"),
+        (("verify", "cycle-base", "--n", "3", "--M", "{}"), "--M"),
+        (("verify", "edge-removal", "--edge", "{},1"), "--edge"),
+        (("odp", "tour:3", "path:3", "--slice", "edge:{},1"), "--slice edge"),
+    ], ids=["family", "json", "table-range", "verify-n", "verify-M", "verify-edge", "odp-slice"])
     def test_overlong_number_exits_3_on_its_digit_count(self, argv, argument, digits, capsys):
         number = "9" * digits
         assert cli.main([arg.format(number) for arg in argv]) == 3
@@ -265,20 +269,19 @@ class TestBoundBeforeBuilding:
                                            "above the input bound 700\n")
 
     def test_long_flag_value_is_named_by_its_digit_count(self, capsys):
-        # argparse converts --n itself; the input bound names its length
+        # an --n within Python's 4 300-digit limit is named by its length too
         assert cli.main(["verify", "cycle-base", "--n", "9" * 800]) == 3
         assert capsys.readouterr().err == ("seatgraphs: resource bound exceeded: --n has 800 digits, "
                                            "above the input bound 700\n")
 
     # sizes that are not graphs: the truncation runs the series out to M
     # terms, and a table builds a row per n; the message names the argument
-    @pytest.mark.parametrize("argv, env, argument", [
-        (("verify", "cycle-base", "--n", "3", "--M", "100000000"), {}, "--M"),
-        (("verify", "cycle-base", "--n", "3"), {"SEATGRAPHS_M": "100000000"}, "SEATGRAPHS_M"),
-        (("table", "eulerian", "--n", "100000"), {}, "--n"),
-    ], ids=["truncation-flag", "truncation-env", "table-eulerian"])
-    def test_oversized_argument_exits_3(self, argv, env, argument):
-        r = run_cli_in_1gb(*argv, env=dict(os.environ, **env))
+    @pytest.mark.parametrize("argv, argument", [
+        (("verify", "cycle-base", "--n", "3", "--M", "100000000"), "--M"),
+        (("table", "eulerian", "--n", "100000"), "--n"),
+    ], ids=["truncation-flag", "table-eulerian"])
+    def test_oversized_argument_exits_3(self, argv, argument):
+        r = run_cli_in_1gb(*argv)
         assert r.returncode == 3
         assert argument in r.stderr and "bound" in r.stderr
         assert "n=" not in r.stderr and "Traceback" not in r.stderr
@@ -447,11 +450,11 @@ class TestVerify:
         assert r.returncode == 2
         assert "certificate" in r.stderr
 
-    def test_env_var_sets_default_truncation(self):
-        env = dict(os.environ, SEATGRAPHS_M="4")
-        r = run_cli("verify", "cycle-base", "--n", "3", "--format", "json", env=env)
-        assert json.loads(r.stdout)["checked_range"] == "prefix m=0..4 at n=3"
-
+    @pytest.mark.parametrize("flag", ["--n", "--M"])
+    def test_non_integer_flag_is_usage_error(self, flag, capsys):
+        argv = {"--n": ["--n", "x3"], "--M": ["--n", "3", "--M", "x3"]}[flag]
+        assert cli.main(["verify", "cycle-base", *argv]) == 2
+        assert capsys.readouterr() == ("", "seatgraphs: error: invalid literal for int() with base 10: 'x3'\n")
 
     @pytest.mark.parametrize("argv", [
         ("automorphism", "--x", "tour:3", "--y", "tour:3"),
@@ -473,6 +476,51 @@ class TestVerify:
                 monkeypatch.setattr(cli, attr, never)
         assert cli.main(["verify", *argv, "--format", "csv"]) == 2
         assert capsys.readouterr().err == "seatgraphs: error: csv output is only available for the sweep\n"
+
+
+# each theorem's flags, and the one call they must make: the function's
+# name on the cli module and its positional arguments as parsed
+VERIFIER_CALLS = {
+    "automorphism": (("--x", "tour:3", "--y", "path:3"), "verify_automorphism", (tour(3), path(3))),
+    "acyclic": (("--x", "path:3", "--y", "tour:3"), "verify_acyclic_potential", (path(3), tour(3))),
+    "edge-removal": (("--x", "tour:3", "--y", "path:3", "--edge", "3,1"), "verify_edge_removal",
+                     (tour(3), path(3), 3, 1)),
+    "self-slice": (("--x", "tour:3", "--y", "path:3", "--pair", "2,1"), "verify_self_equivalent_slice",
+                   (tour(3), path(3), 2, 1)),
+    "squish": (("--x", "tour:2", "--y", "cycle:2", "--pair", "1,2"), "verify_point_squish",
+               (tour(2), cycle(2), 1, 2)),
+    "path-identity": (("--graph", "cycle:3", "--M", "5"), "verify_path_identity", (cycle(3), 5)),
+    "cycle-base": (("--n", "4"), "verify_cycle_base", (4, DEFAULT_TRUNCATION)),
+    "cycle-identity": (("--graph", "tour:3", "--M", "0"), "verify_cycle_identity", (tour(3), 0)),
+    "gen-eulerian": (("--graph", "path:4", "--cyclic"), "verify_generalized_equals_odp", (path(4), True)),
+    "sweep": (("--n", "3", "--M", "7", "--identity", "cycle", "--format", "json"), "sweep_identity", (3, 7)),
+}
+
+
+@pytest.mark.parametrize("unsafe", [False, True], ids=["bounded", "unsafe"])
+@pytest.mark.parametrize("theorem", VERIFIER_CALLS)
+def test_each_theorem_calls_exactly_its_verifier(theorem, unsafe, monkeypatch, capsys):
+    # every verifier is looked up on the module when the theorem runs, so
+    # a replacement there (a recorder here, a tracer's wrapper elsewhere)
+    # is the one called
+    flags, name, positional = VERIFIER_CALLS[theorem]
+    calls = []
+
+    def recorder(attr):
+        def record(*args, **kwargs):
+            calls.append((attr, args, kwargs))
+            return [] if attr == "sweep_identity" else Verdict(holds=True, checked_range="recorded")
+        return record
+
+    for attr in vars(cli):
+        if attr.startswith("verify_") or attr == "sweep_identity":
+            monkeypatch.setattr(cli, attr, recorder(attr))
+    assert cli.main(["verify", theorem, *flags, *(["--unsafe-bounds"] if unsafe else [])]) == 0
+    capsys.readouterr()
+    kwargs = {"bound": None if unsafe else WORK_BOUND}
+    if theorem == "sweep":
+        kwargs["which"] = "cycle"
+    assert calls == [(name, positional, kwargs)]
 
 
 class TestSweep:
@@ -690,10 +738,10 @@ class TestDeterminismAndOutput:
 
 class TestInternalError:
     def test_unexpected_exception_exits_4_without_traceback(self, monkeypatch, capsys):
-        def broken(args):
+        def broken(*args):
             raise RuntimeError("kernel fault")
 
-        monkeypatch.setattr(cli, "run_gen", broken)
+        monkeypatch.setattr(cli, "parse_graph_spec", broken)
         assert cli.main(["gen", "tour:3"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

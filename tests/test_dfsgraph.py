@@ -513,6 +513,18 @@ class TestMultiplicityPrice:
             with pytest.raises(BoundExceededError, match=f"DFS DOT export would take {5 * lines} steps"):
                 dfs.to_dot()
 
+    def test_dot_export_holds_a_bounded_chunk(self):
+        # 1 -> 2 three thousand times on each side: 9 * 10^6 lines out of
+        # vertex 12, admitted at 4.5 * 10^7 steps, 144 MB if held at once
+        line = '  "12" -> "21";\n'
+        g = copies(path(2), 3000)
+        sizes = [len(chunk) for chunk in materialize(g, g).to_dot()]
+        assert sum(sizes) == len('digraph {\n  "12";\n  "21";\n}\n') + 9 * 10**6 * len(line)
+        assert max(sizes) <= 4096 * len(line)
+        # 4 900 lines, split into two chunks, equal the reference's
+        g = copies(path(2), 70)
+        assert "".join(materialize(g, g).to_dot()) == oracles.reference_dfs(g.to_json_obj(), g.to_json_obj(), "dot")
+
     def test_high_multiplicities_match_the_oracles(self):
         rng = random.Random(27)
         for n in (2, 3, 4):
